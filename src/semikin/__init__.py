@@ -36,7 +36,6 @@ from .correspondence import (
 from .envelope import (
     EnvelopeField,
     ScaleReport,
-    Window,
     chi_kernel,
     envelope_density,
     extract_envelope,
@@ -61,13 +60,11 @@ from .kinetics import (
     number_correlator,
 )
 from .liouville import (
-    Characteristic,
-    FlowMap,
     HamiltonianSpec,
     evolve_liouville,
     evolve_liouville_nd,
     flow_jacobian,
-    hamilton_flow,
+    flow_map,
 )
 from .manybody import (
     CarrierState,
@@ -83,7 +80,6 @@ from .schrodinger import (
     GaussianBarrier,
     HarmonicPotential,
     LinearPotential,
-    SumPotential,
     WaveFunction,
     energy,
     evolve,
@@ -115,7 +111,6 @@ __all__ = [
     "LinearPotential",
     "HarmonicPotential",
     "GaussianBarrier",
-    "SumPotential",
     "init_gaussian_packet",
     "evolve",
     "expectation_x",
@@ -123,7 +118,6 @@ __all__ = [
     "energy",
     "transmission_reflection",
     # envelope
-    "Window",
     "EnvelopeField",
     "ScaleReport",
     "chi_kernel",
@@ -134,9 +128,7 @@ __all__ = [
     "scale_check",
     # liouville
     "HamiltonianSpec",
-    "Characteristic",
-    "FlowMap",
-    "hamilton_flow",
+    "flow_map",
     "flow_jacobian",
     "evolve_liouville",
     "evolve_liouville_nd",

@@ -25,12 +25,12 @@ from .correspondence import (
     Scenario,
     barrier_split_experiment,
     kinetic_scenario,
+    prepare,
     quantum_samples,
     run_correspondence,
 )
-from .envelope import envelope_density, extract_envelope, scale_check
+from .envelope import envelope_density, extract_envelope
 from .errors import NumericalFailure, ScenarioError
-from .kinetics import entropy
 from .liouville import evolve_liouville
 from .manybody import (
     CarrierState,
@@ -55,9 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out",
         help=f"output root (default: ${OUTPUT_ROOT_ENV} or ./semikin-out)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="worker thread cap (reserved)"
     )
     common.add_argument("--seed", type=int, default=None, help="override the seed")
     common.add_argument(
@@ -149,8 +146,8 @@ def _cmd_schrodinger(scenario: Scenario, outdir: Path, args) -> None:
 
 
 def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
-    pg = scenario.phase_grid()
-    report = scale_check(scenario.initial_wavefunction(), pg)
+    # the report is the artifact here, so a failing packet still gets one
+    _, pg, report, _ = prepare(scenario, force=True)
     artifacts.atomic_write_text(
         outdir / "scale.json",
         artifacts._json(
@@ -177,11 +174,7 @@ def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
 
 
 def _cmd_liouville(scenario: Scenario, outdir: Path, args) -> None:
-    psi0 = scenario.initial_wavefunction()
-    pg = scenario.phase_grid()
-    rho0 = envelope_density(
-        extract_envelope(psi0, pg, potential=scenario.potential, warn_scales=False)
-    )
+    *_, rho0 = prepare(scenario, args.force)
     hamiltonian = scenario.hamiltonian()
     mass_rows = []
     for i, t_i in enumerate(scenario.sample_times):

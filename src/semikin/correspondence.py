@@ -41,7 +41,7 @@ from .core import (
 from .envelope import ScaleReport, envelope_density, extract_envelope, scale_check
 from .errors import ScenarioError
 from .kinetics import RateMatrix, current_density, entropy, evolve_boltzmann
-from .liouville import FlowMap, HamiltonianSpec, evolve_liouville
+from .liouville import _MAX_STEPS, HamiltonianSpec, evolve_liouville, flow_map
 from .schrodinger import (
     FreePotential,
     PotentialSpec,
@@ -61,6 +61,7 @@ __all__ = [
     "BarrierSummary",
     "KineticReport",
     "dispersion_time",
+    "prepare",
     "quantum_samples",
     "run_correspondence",
     "barrier_split_experiment",
@@ -85,7 +86,8 @@ class Scenario:
     Grid parameters mirror the constructors in `core`; `dt` is the
     quantum solver step and the characteristic substep of the classical
     branch.  The grids are built once at construction, so an
-    inconsistent scenario fails immediately with `ScenarioError`.
+    inconsistent scenario fails immediately with `ScenarioError`, and so
+    does one whose last sample lies more than 10⁷ steps of `dt` away.
     """
 
     name: str = "scenario"
@@ -116,6 +118,11 @@ class Scenario:
             raise ScenarioError("sample times must be finite and non-negative")
         if np.any(np.diff(times) <= 0.0):
             raise ScenarioError("sample times must be strictly increasing")
+        if times[-1] / self.dt > _MAX_STEPS:
+            raise ScenarioError(
+                f"sample time {times[-1]:g} needs {times[-1] / self.dt:.3g} steps"
+                f" of dt = {self.dt:g}, more than {_MAX_STEPS}"
+            )
         try:
             grid = self.spatial_grid()
             self.phase_grid(grid)
@@ -240,6 +247,30 @@ def dispersion_time(sigma: float, constants: PhysicalConstants) -> float:
     return 2.0 * constants.mass * sigma**2 / constants.hbar
 
 
+def prepare(
+    scenario: Scenario, force: bool = False
+) -> tuple[WaveFunction, PhaseSpaceGrid, ScaleReport, PhaseSpaceDensity]:
+    """ψ₀, the phase-space grid, ψ₀'s scale report and ρ₀ = |A(ψ₀)|².
+
+    The shared prelude of every scenario command.  Raises
+    `ScenarioError` when ψ₀ fails the scale separation check, unless
+    `force` is set.
+    """
+    psi0 = scenario.initial_wavefunction()
+    pg = scenario.phase_grid()
+    report = scale_check(psi0, pg)
+    if not report.satisfied and not force:
+        raise ScenarioError(
+            "initial packet fails the scale separation check (carrier ratio"
+            f" {report.carrier_ratio:.3g}, envelope ratio"
+            f" {report.envelope_ratio:.3g}); pass force=True to run anyway"
+        )
+    rho0 = envelope_density(
+        extract_envelope(psi0, pg, potential=scenario.potential, warn_scales=False)
+    )
+    return psi0, pg, report, rho0
+
+
 def quantum_samples(scenario: Scenario):
     """Yield ψ(tᵢ) at every sample time, advancing incrementally."""
     psi = scenario.initial_wavefunction()
@@ -270,19 +301,8 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     separation check, unless `force` is set; everything downstream is
     deterministic in the scenario.
     """
-    psi0 = scenario.initial_wavefunction()
-    pg = scenario.phase_grid()
-    report_scale = scale_check(psi0, pg)
-    if not report_scale.satisfied and not force:
-        raise ScenarioError(
-            "initial packet fails the scale separation check (carrier ratio"
-            f" {report_scale.carrier_ratio:.3g}, envelope ratio"
-            f" {report_scale.envelope_ratio:.3g}); pass force=True to run anyway"
-        )
+    psi0, pg, report_scale, rho0 = prepare(scenario, force)
     hamiltonian = scenario.hamiltonian()
-    rho0 = envelope_density(
-        extract_envelope(psi0, pg, potential=scenario.potential, warn_scales=False)
-    )
     mass_ref = phase_space_mass(rho0)
     l2_ref = float(np.sqrt(np.sum(rho0.values**2)))
     flow_x0, flow_p0 = expectation_x(psi0), expectation_p(psi0)
@@ -308,8 +328,7 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
         l1[i], l2[i] = _relative_distances(rho_env, rho_cl, mass_ref, l2_ref)
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
         if times[i] > 0.0:
-            flow = FlowMap(hamiltonian, times[i], scenario.dt)
-            xc, pc = flow(flow_x0, flow_p0)
+            xc, pc = flow_map(flow_x0, flow_p0, times[i], scenario.dt, hamiltonian)
             x_c[i], p_c[i] = float(xc), float(pc)
         else:
             x_c[i], p_c[i] = flow_x0, flow_p0
@@ -358,14 +377,7 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     """
     if len(scenario.sample_times) < 2:
         raise ScenarioError("barrier experiment needs a segmentation time plus samples")
-    psi0 = scenario.initial_wavefunction()
-    pg = scenario.phase_grid()
-    report_scale = scale_check(psi0, pg)
-    if not report_scale.satisfied and not force:
-        raise ScenarioError(
-            "initial packet fails the scale separation check;"
-            " pass force=True to run anyway"
-        )
+    _, pg, report_scale, _ = prepare(scenario, force)
 
     barrier_x = getattr(scenario.potential, "x_b", None)
     if barrier_x is None:
@@ -417,7 +429,7 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
         p_pred = np.empty(n)
         for i, t_i in enumerate(times):
             if t_i > times[0]:
-                xc, pc = FlowMap(free_flow, t_i - times[0], scenario.dt)(x0, p0)
+                xc, pc = flow_map(x0, p0, t_i - times[0], scenario.dt, free_flow)
                 x_pred[i], p_pred[i] = float(xc), float(pc)
             else:
                 x_pred[i], p_pred[i] = x0, p0
@@ -459,17 +471,7 @@ def kinetic_scenario(scenario: Scenario, force: bool = False) -> KineticReport:
     Every sample is evolved from t = 0, keeping the histories
     deterministic and splitting-error accumulation out of late samples.
     """
-    psi0 = scenario.initial_wavefunction()
-    pg = scenario.phase_grid()
-    report_scale = scale_check(psi0, pg)
-    if not report_scale.satisfied and not force:
-        raise ScenarioError(
-            "initial packet fails the scale separation check;"
-            " pass force=True to run anyway"
-        )
-    f0 = envelope_density(
-        extract_envelope(psi0, pg, potential=scenario.potential, warn_scales=False)
-    )
+    _, pg, _, f0 = prepare(scenario, force)
     hamiltonian = scenario.hamiltonian()
 
     times = np.asarray(scenario.sample_times, dtype=float)

@@ -38,7 +38,6 @@ from .core import PhaseSpaceDensity, PhaseSpaceGrid
 from .schrodinger import PotentialSpec, WaveFunction
 
 __all__ = [
-    "Window",
     "EnvelopeField",
     "ScaleReport",
     "chi_kernel",
@@ -55,31 +54,6 @@ SCALE_RATIO_LIMIT = 0.25
 #: relative level (of the peak) delimiting the region where the envelope
 #: steepness is measured
 _PROFILE_LEVEL = np.exp(-0.5)
-
-
-@dataclass(frozen=True)
-class Window:
-    """One projection window [x₀, x₀ + width)."""
-
-    x0: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if self.width <= 0.0:
-            raise ValueError("window width must be positive")
-
-    def validate_against(self, grid) -> None:
-        """Check the window is grid-aligned, wide enough and inside the grid."""
-        cells = self.width / grid.dx
-        if abs(cells - round(cells)) > 1e-9 or round(cells) < 16:
-            raise ValueError(
-                f"window width {self.width} must be an integer multiple of dx"
-                f" = {grid.dx} and at least 16 cells"
-            )
-        if self.x0 < grid.x_min - 1e-9 * grid.dx or (
-            self.x0 + self.width > grid.x_min + grid.length + 1e-9 * grid.dx
-        ):
-            raise ValueError("window outside grid")
 
 
 @dataclass(frozen=True)

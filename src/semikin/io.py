@@ -33,7 +33,8 @@ Scenario files are INI-style key-value text::
 Several packets use distinct section names ([packet.a], [packet.b]).
 An optional [rates] section (coupling, eta, kind=uniform) builds a
 golden-rule rate matrix on the scenario's momentum cells with energies
-p²/2m and uniform couplings.
+p²/2m and uniform couplings.  A section or key outside `_SCHEMA`
+raises `ScenarioError`, whether it comes from the file or an override.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .correspondence import CorrespondenceReport, KineticReport, PacketSpec, Sce
 from .envelope import EnvelopeField
 from .errors import ScenarioError
 from .kinetics import InteractionMatrix, RateMatrix, StateSpace, fermi_rates
-from .liouville import Characteristic, HamiltonianSpec
 from .schrodinger import (
     FreePotential,
     GaussianBarrier,
@@ -68,10 +68,8 @@ __all__ = [
     "save_density",
     "save_envelope",
     "save_wavefunction",
-    "save_trajectory",
     "save_rate_matrix",
     "load_rate_matrix",
-    "save_occupation_history",
     "save_correspondence_report",
     "save_kinetic_report",
     "load_scenario",
@@ -126,6 +124,14 @@ def _grid_sidecar(grid: PhaseSpaceGrid, time: float, planes: list[str]) -> dict:
     }
 
 
+def _save_binary(base: Path, planes: np.ndarray, sidecar: dict) -> None:
+    """Raw row-major float64 <base>.bin plus its <base>.json sidecar."""
+    atomic_write_bytes(
+        base.with_suffix(".bin"), np.ascontiguousarray(planes, dtype="<f8").tobytes()
+    )
+    atomic_write_text(base.with_suffix(".json"), _json(sidecar))
+
+
 # --------------------------------------------------------------------------
 # artifact dumps
 # --------------------------------------------------------------------------
@@ -143,14 +149,7 @@ def save_density(density: PhaseSpaceDensity, base: Path, binary: bool = False) -
     )
     atomic_write_text(base.with_suffix(".csv"), _csv("x0,p0,rho", rows))
     if binary:
-        atomic_write_bytes(
-            base.with_suffix(".bin"),
-            np.ascontiguousarray(density.values, dtype="<f8").tobytes(),
-        )
-        atomic_write_text(
-            base.with_suffix(".json"),
-            _json(_grid_sidecar(g, density.time, ["rho"])),
-        )
+        _save_binary(base, density.values, _grid_sidecar(g, density.time, ["rho"]))
 
 
 def save_envelope(field: EnvelopeField, base: Path, binary: bool = False) -> None:
@@ -165,14 +164,10 @@ def save_envelope(field: EnvelopeField, base: Path, binary: bool = False) -> Non
     )
     atomic_write_text(base.with_suffix(".csv"), _csv("x0,p0,re,im", rows))
     if binary:
-        planes = np.stack([field.values.real, field.values.imag])
-        atomic_write_bytes(
-            base.with_suffix(".bin"),
-            np.ascontiguousarray(planes, dtype="<f8").tobytes(),
-        )
-        atomic_write_text(
-            base.with_suffix(".json"),
-            _json(_grid_sidecar(g, field.time, ["re", "im"])),
+        _save_binary(
+            base,
+            np.stack([field.values.real, field.values.imag]),
+            _grid_sidecar(g, field.time, ["re", "im"]),
         )
 
 
@@ -184,31 +179,17 @@ def save_wavefunction(psi: WaveFunction, base: Path, binary: bool = False) -> No
     rows = ((x[i], psi.values[i].real, psi.values[i].imag) for i in range(x.size))
     atomic_write_text(base.with_suffix(".csv"), _csv("x,re,im", rows))
     if binary:
-        planes = np.stack([psi.values.real, psi.values.imag])
-        atomic_write_bytes(
-            base.with_suffix(".bin"),
-            np.ascontiguousarray(planes, dtype="<f8").tobytes(),
+        _save_binary(
+            base,
+            np.stack([psi.values.real, psi.values.imag]),
+            {
+                "x_min": float(psi.grid.x_min),
+                "dx": float(psi.grid.dx),
+                "n": int(psi.grid.n),
+                "time": float(psi.time),
+                "planes": ["re", "im"],
+            },
         )
-        atomic_write_text(
-            base.with_suffix(".json"),
-            _json(
-                {
-                    "x_min": float(psi.grid.x_min),
-                    "dx": float(psi.grid.dx),
-                    "n": int(psi.grid.n),
-                    "time": float(psi.time),
-                    "planes": ["re", "im"],
-                }
-            ),
-        )
-
-
-def save_trajectory(
-    trajectory: Characteristic, hamiltonian: HamiltonianSpec, path: Path
-) -> None:
-    energies = hamiltonian.value(trajectory.x, trajectory.p)
-    rows = zip(trajectory.times, trajectory.x, trajectory.p, energies)
-    atomic_write_text(Path(path), _csv("t,x,p,H", rows))
 
 
 def save_rate_matrix(
@@ -240,17 +221,6 @@ def load_rate_matrix(base: Path) -> tuple[RateMatrix, np.ndarray, float]:
         return rates, energies, float(sidecar["hbar"])
     except (OSError, KeyError, ValueError) as exc:
         raise ScenarioError(f"cannot load rate matrix from {base}: {exc}") from exc
-
-
-def save_occupation_history(times, history, path: Path) -> None:
-    """Long-form CSV t,k,rho of occupation vectors over time."""
-    history = np.asarray(history, dtype=float)
-    rows = (
-        (times[i], k, history[i, k])
-        for i in range(history.shape[0])
-        for k in range(history.shape[1])
-    )
-    atomic_write_text(Path(path), _csv("t,k,rho", rows))
 
 
 def _report_dict(report: CorrespondenceReport) -> dict:
@@ -356,13 +326,46 @@ def save_kinetic_report(
 # --------------------------------------------------------------------------
 
 
+#: the keys each section may hold.  [packet.<label>] sections take the
+#: [packet] keys; [potential] takes "kind" plus the keys of that kind.
+_SCHEMA = {
+    "scenario": ("name", "seed", "periodic_x"),
+    "constants": ("hbar", "mass", "charge"),
+    "grid": ("x_min", "dx", "n_x", "window_cells", "n_p", "p_center"),
+    "packet": ("x_center", "p_center", "sigma", "weight"),
+    "potential": {
+        "free": (),
+        "linear": ("force",),
+        "harmonic": ("k",),
+        "gaussian_barrier": ("v0", "x_b", "width", "smooth"),
+    },
+    "rates": ("kind", "coupling", "eta"),
+    "time": ("dt", "samples"),
+}
+
+
+def _check_schema(parser: configparser.ConfigParser, path: Path) -> None:
+    for section in parser.sections():
+        allowed = _SCHEMA.get("packet" if section.startswith("packet.") else section)
+        if allowed is None:
+            raise ScenarioError(f"unknown section [{section}] in {path}")
+        if section == "potential":
+            kind = parser[section].get("kind", "free").strip().lower()
+            if kind not in allowed:
+                raise ScenarioError(f"unknown potential kind {kind!r}")
+            allowed = ("kind", *allowed[kind])
+        for key in parser[section]:
+            if key not in allowed:
+                raise ScenarioError(
+                    f"unknown key {key!r} in [{section}] of {path}"
+                    f" (allowed: {', '.join(allowed)})"
+                )
+
+
 def _parse_potential(section: Optional[Mapping[str, str]]) -> PotentialSpec:
-    if section is None:
-        return FreePotential()
-    kind = section.get("kind", "free").strip().lower()
+    """Build the potential of a schema-checked [potential] section."""
+    kind = "free" if section is None else section.get("kind", "free").strip().lower()
     try:
-        if kind == "free":
-            return FreePotential()
         if kind == "linear":
             return LinearPotential(force=float(section["force"]))
         if kind == "harmonic":
@@ -377,7 +380,7 @@ def _parse_potential(section: Optional[Mapping[str, str]]) -> PotentialSpec:
             )
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"bad [potential] section: {exc}") from exc
-    raise ScenarioError(f"unknown potential kind {kind!r}")
+    return FreePotential()
 
 
 def _floats_list(text: str) -> tuple[float, ...]:
@@ -393,8 +396,8 @@ def load_scenario(
 
     `overrides` maps dotted keys ("section.key") to replacement raw
     values, applied before interpretation; `seed` replaces the
-    scenario's seed outright.  Any missing file, unparsable value or
-    inconsistent combination raises `ScenarioError`.
+    scenario's seed outright.  Any missing file, unknown section or key,
+    unparsable value or inconsistent combination raises `ScenarioError`.
     """
     path = Path(path)
     if not path.is_file():
@@ -413,6 +416,7 @@ def load_scenario(
             if not parser.has_section(section):
                 parser.add_section(section)
             parser[section][key] = value
+    _check_schema(parser, path)
 
     try:
         meta = parser["scenario"] if parser.has_section("scenario") else {}

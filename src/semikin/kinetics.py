@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import PhaseSpaceDensity, PhysicalConstants
-from .liouville import HamiltonianSpec, evolve_liouville
+from .liouville import HamiltonianSpec, _step_count, evolve_liouville
 
 __all__ = [
     "StateSpace",
@@ -352,11 +352,9 @@ def evolve_boltzmann(
         return evolve_liouville(f0, hamiltonian, t, dt=dt, periodic_x=periodic_x)
     if rates.size != f0.grid.p_centers.size:
         raise ValueError("rate matrix must live on the density's momentum cells")
-    if dt is None:
-        dt = t
-    steps = max(1, int(np.ceil(abs(t) / dt - 1e-12))) if t > 0.0 else 0
-    if steps == 0:
+    if t == 0.0:
         return f0
+    steps = _step_count(t, t if dt is None else dt)
     step = t / steps
     # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
     hop = expm(rates.values * step)

@@ -23,9 +23,7 @@ from .schrodinger import PotentialSpec
 
 __all__ = [
     "HamiltonianSpec",
-    "Characteristic",
-    "FlowMap",
-    "hamilton_flow",
+    "flow_map",
     "flow_jacobian",
     "evolve_liouville",
     "evolve_liouville_nd",
@@ -33,6 +31,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: most steps one flow, or one scenario's longest sample, may take
 _MAX_STEPS = 10**7
 #: relative ρ₀ mass at the open-boundary points crossed by the backtrace
 #: before the transport is declared to leak
@@ -65,34 +64,6 @@ class HamiltonianSpec:
         return np.asarray(p, dtype=float) / self.mass
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    """A sampled trajectory; the density value riding on it is constant."""
-
-    times: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    density: float = 0.0
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """The map (x, p) ↦ (X_t, P_t), evaluated on demand."""
-
-    hamiltonian: HamiltonianSpec
-    t: float
-    dt: float
-
-    def __call__(self, x, p):
-        return _integrate(
-            np.asarray(x, dtype=float),
-            np.asarray(p, dtype=float),
-            self.t,
-            self.dt,
-            self.hamiltonian,
-        )
-
-
 def _step_count(t: float, dt: float) -> int:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -101,44 +72,23 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, int(np.ceil(abs(t) / dt - 1e-12)))
 
 
-def _integrate(x, p, t: float, dt: float, h: HamiltonianSpec):
-    """Velocity-Verlet flow for arrays of initial conditions."""
+def flow_map(x, p, t: float, dt: float, hamiltonian: HamiltonianSpec):
+    """Velocity-Verlet flow (x, p) ↦ (X_t, P_t), elementwise over arrays.
+
+    Negative `t` runs the reversed flow; `dt` is the (positive) bound on
+    the step magnitude, and the ⌈|t|/dt⌉ steps split t evenly.
+    """
     if t == 0.0:
         return np.array(x, copy=True), np.array(p, copy=True)
     n = _step_count(t, dt)
-    step = t / n  # signed: negative t runs the reversed flow
+    step = t / n
     x = np.array(x, dtype=float, copy=True)
     p = np.array(p, dtype=float, copy=True)
     for _ in range(n):
-        p = p - 0.5 * step * h.grad_x(x)
-        x = x + step * p / h.mass
-        p = p - 0.5 * step * h.grad_x(x)
+        p = p - 0.5 * step * hamiltonian.grad_x(x)
+        x = x + step * p / hamiltonian.mass
+        p = p - 0.5 * step * hamiltonian.grad_x(x)
     return x, p
-
-
-def hamilton_flow(
-    x0: float, p0: float, t: float, dt: float, hamiltonian: HamiltonianSpec,
-    density: float = 0.0,
-) -> Characteristic:
-    """Integrate one characteristic, keeping every Verlet sample.
-
-    Negative `t` reverses time; `dt` is the (positive) step magnitude.
-    """
-    n = _step_count(t, dt) if t != 0.0 else 0
-    times = np.linspace(0.0, t, n + 1)
-    xs = np.empty(n + 1)
-    ps = np.empty(n + 1)
-    xs[0], ps[0] = x0, p0
-    step = t / n if n else 0.0
-    x, p = float(x0), float(p0)
-    for k in range(n):
-        p -= 0.5 * step * float(hamiltonian.grad_x(x))
-        x += step * p / hamiltonian.mass
-        p -= 0.5 * step * float(hamiltonian.grad_x(x))
-        xs[k + 1], ps[k + 1] = x, p
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
-        raise NumericalFailure("characteristic left the finite range")
-    return Characteristic(times=times, x=xs, p=ps, density=density)
 
 
 def flow_jacobian(
@@ -158,7 +108,7 @@ def flow_jacobian(
         eps = 1e-4 * max(abs(x0), abs(p0), 1.0)
     xs = np.array([x0 + eps, x0 - eps, x0, x0])
     ps = np.array([p0, p0, p0 + eps, p0 - eps])
-    fx, fp = _integrate(xs, ps, t, dt, hamiltonian)
+    fx, fp = flow_map(xs, ps, t, dt, hamiltonian)
     dxdx = (fx[0] - fx[1]) / (2.0 * eps)
     dpdx = (fp[0] - fp[1]) / (2.0 * eps)
     dxdp = (fx[2] - fx[3]) / (2.0 * eps)
@@ -249,7 +199,7 @@ def evolve_liouville(
     if dt is None:
         dt = abs(t)
     x_nodes, p_nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
-    feet_x, feet_p = _integrate(x_nodes, p_nodes, -t, dt, hamiltonian)
+    feet_x, feet_p = flow_map(x_nodes, p_nodes, -t, dt, hamiltonian)
     if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
         raise NumericalFailure("backtraced characteristics are not finite")
 

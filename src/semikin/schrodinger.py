@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "LinearPotential",
     "HarmonicPotential",
     "GaussianBarrier",
-    "SumPotential",
     "PotentialSpec",
     "init_gaussian_packet",
     "evolve",
@@ -127,30 +126,7 @@ class GaussianBarrier:
         return -self.v0 * u / self.width * np.exp(-0.5 * u * u)
 
 
-@dataclass(frozen=True)
-class SumPotential:
-    parts: Sequence[object]
-
-    @property
-    def is_smooth(self) -> bool:
-        return all(p.is_smooth for p in self.parts)
-
-    def value(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for p in self.parts:
-            out = out + p.value(x)
-        return out
-
-    def derivative(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for p in self.parts:
-            out = out + p.derivative(x)
-        return out
-
-
-PotentialSpec = Union[
-    FreePotential, LinearPotential, HarmonicPotential, GaussianBarrier, SumPotential
-]
+PotentialSpec = Union[FreePotential, LinearPotential, HarmonicPotential, GaussianBarrier]
 
 
 # --------------------------------------------------------------------------

@@ -102,14 +102,27 @@ class TestExitCodes:
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_scale_gate_failure_and_force(self, tiny_ini, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["compare", "liouville", "kinetics"])
+    def test_scale_gate_failure_and_force(self, command, tiny_ini, tmp_path, capsys):
         argv = [
-            "compare", "--scenario", str(tiny_ini),
+            command, "--scenario", str(tiny_ini),
             "--override", "packet.sigma=40", "--out", str(tmp_path),
         ]
         assert main(argv) == 1
         assert "scale separation" in capsys.readouterr().err
         assert main(argv + ["--force"]) == 0
+
+    @pytest.mark.parametrize("override", ["grid.dxx=2", "potential.kk=2", "time.dt=1e-9"])
+    def test_unknown_key_or_endless_run_is_a_configuration_error(
+        self, override, tiny_ini, tmp_path, capsys
+    ):
+        rc = main([
+            "compare", "--scenario", str(tiny_ini),
+            "--override", override, "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("semikin: ") and err.count("\n") == 1
 
     def test_malformed_override(self, tiny_ini, tmp_path, capsys):
         rc = main(["compare", "--scenario", str(tiny_ini), "--override", "nodot", "--out", str(tmp_path)])
@@ -127,10 +140,14 @@ class TestArtifacts:
         assert all(v >= 0.0 for v in report["l1"])
         assert report["scale"]["satisfied"] is True
 
-    def test_repeated_runs_are_byte_identical(self, tiny_ini, tmp_path):
-        argv = ["compare", "--scenario", str(tiny_ini), "--out", str(tmp_path)]
+    @pytest.mark.parametrize(
+        "command", ["schrodinger", "envelope", "liouville", "kinetics", "compare"]
+    )
+    def test_repeated_runs_are_byte_identical(self, command, tiny_ini, relax_ini, tmp_path):
+        ini = relax_ini if command == "kinetics" else tiny_ini
+        argv = [command, "--scenario", str(ini), "--out", str(tmp_path), "--dump-binary"]
         assert main(argv) == 0
-        outdir = tmp_path / "compare"
+        outdir = tmp_path / command
         first = {p.name: p.read_bytes() for p in outdir.iterdir()}
         assert main(argv) == 0
         second = {p.name: p.read_bytes() for p in outdir.iterdir()}

@@ -67,6 +67,13 @@ class TestScenarioValidation:
                 n_x=64, window_cells=16, sample_times=(1.0,), dt=0.0,
             )
 
+    def test_rejects_step_counts_that_cannot_finish(self):
+        with pytest.raises(ScenarioError, match="more than 10000000"):
+            Scenario(
+                name="x", packets=(PacketSpec(32.0, 1.0, 4.0),), dx=1.0,
+                n_x=64, window_cells=16, sample_times=(1.0,), dt=1e-8,
+            )
+
     def test_rejects_unsorted_sample_times(self):
         with pytest.raises(ScenarioError, match="strictly increasing"):
             Scenario(

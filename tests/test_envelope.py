@@ -18,7 +18,6 @@ from semikin.core import (
 )
 from semikin.envelope import (
     EnvelopeField,
-    Window,
     chi_kernel,
     envelope_density,
     extract_envelope,
@@ -187,23 +186,6 @@ class TestSmoothedDerivative:
     def test_domain_guard(self):
         with pytest.raises(ValueError, match="outside"):
             smoothed_derivative(np.cos, 0.9, dp=0.2, domain=(0.0, 1.0))
-
-
-class TestWindowValidation:
-    def test_accepts_aligned_window(self, fine_grid):
-        Window(x0=32.0, width=16.0).validate_against(fine_grid)
-
-    @pytest.mark.parametrize(
-        "x0, width",
-        [
-            (0.0, 8.0),      # fewer than 16 cells
-            (0.0, 16.5),     # not a whole number of cells
-            (2040.0, 16.0),  # sticks out of the grid
-        ],
-    )
-    def test_rejects_bad_windows(self, fine_grid, x0, width):
-        with pytest.raises(ValueError):
-            Window(x0=x0, width=width).validate_against(fine_grid)
 
 
 class TestScaleGates:

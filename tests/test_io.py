@@ -17,7 +17,6 @@ from semikin.correspondence import kinetic_scenario, run_correspondence
 from semikin.envelope import EnvelopeField
 from semikin.errors import ScenarioError
 from semikin.kinetics import RateMatrix
-from semikin.liouville import Characteristic, HamiltonianSpec
 from semikin.schrodinger import (
     FreePotential,
     GaussianBarrier,
@@ -123,18 +122,6 @@ class TestWavefunctionDump:
         assert sidecar["x_min"] == -64.0 and sidecar["planes"] == ["re", "im"]
 
 
-def test_trajectory_dump_logs_the_energy(tmp_path):
-    ham = HamiltonianSpec(mass=1.0, potential=HarmonicPotential(k=1.0))
-    traj = Characteristic(
-        times=np.array([0.0, 1.0]), x=np.array([1.0, 0.5]), p=np.array([0.0, -0.8])
-    )
-    artifacts.save_trajectory(traj, ham, tmp_path / "traj.csv")
-    lines = (tmp_path / "traj.csv").read_text().splitlines()
-    assert lines[0] == "t,x,p,H"
-    h0 = float(lines[1].split(",")[3])
-    assert h0 == 0.5  # k x² / 2 at (1, 0)
-
-
 class TestRateMatrixRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -153,16 +140,6 @@ class TestRateMatrixRoundTrip:
     def test_missing_files_raise_scenario_error(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot load rate matrix"):
             artifacts.load_rate_matrix(tmp_path / "absent")
-
-
-def test_occupation_history_is_long_form(tmp_path):
-    times = np.array([0.0, 1.0])
-    history = np.array([[1.0, 0.0], [0.6, 0.4]])
-    artifacts.save_occupation_history(times, history, tmp_path / "occ.csv")
-    lines = (tmp_path / "occ.csv").read_text().splitlines()
-    assert lines[0] == "t,k,rho"
-    assert len(lines) == 1 + 4
-    assert [float(v) for v in lines[-1].split(",")] == [1.0, 1.0, 0.4]
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +246,21 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="section.key"):
             artifacts.load_scenario(
                 SCENARIO_DIR / "free_packet.ini", overrides={"sigma": "40"}
+            )
+
+    def test_misspelled_section_is_rejected(self, tmp_path):
+        bad = tmp_path / "typo.ini"
+        text = (SCENARIO_DIR / "harmonic_trap.ini").read_text()
+        bad.write_text(text.replace("[potential]", "[potentail]"))
+        with pytest.raises(ScenarioError, match=r"unknown section \[potentail\]"):
+            artifacts.load_scenario(bad)
+
+    @pytest.mark.parametrize("dotted", ["grid.dxx", "potential.kk", "potential.v0"])
+    def test_unknown_key_is_rejected(self, dotted):
+        # potential.v0 is a key, but not one of the harmonic kind
+        with pytest.raises(ScenarioError, match="unknown key"):
+            artifacts.load_scenario(
+                SCENARIO_DIR / "harmonic_trap.ini", overrides={dotted: "2"}
             )
 
     def test_unknown_potential_kind(self, tmp_path):

@@ -15,12 +15,11 @@ import pytest
 from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, phase_space_mass
 from semikin.errors import NumericalFailure
 from semikin.liouville import (
-    FlowMap,
     HamiltonianSpec,
     evolve_liouville,
     evolve_liouville_nd,
     flow_jacobian,
-    hamilton_flow,
+    flow_map,
 )
 from semikin.schrodinger import (
     FreePotential,
@@ -60,44 +59,40 @@ class TestHamiltonianSpec:
 
 class TestHamiltonFlow:
     def test_free_motion_is_exact(self):
-        traj = hamilton_flow(1.0, 0.5, t=8.0, dt=0.5, hamiltonian=FREE, density=0.3)
-        assert traj.times.shape == traj.x.shape == traj.p.shape == (17,)
-        assert np.allclose(traj.x, 1.0 + 0.5 * traj.times, atol=1e-13)
-        assert np.all(traj.p == 0.5)
-        assert traj.density == 0.3
+        for t in np.linspace(0.5, 8.0, 16):
+            x, p = flow_map(1.0, 0.5, t, 0.5, FREE)
+            assert x == pytest.approx(1.0 + 0.5 * t, abs=1e-13)
+            assert p == 0.5
 
     def test_negative_time_reverses(self):
-        fwd = hamilton_flow(0.0, 1.0, t=2.0, dt=0.1, hamiltonian=TRAP)
-        back = hamilton_flow(fwd.x[-1], fwd.p[-1], t=-2.0, dt=0.1, hamiltonian=TRAP)
-        assert back.x[-1] == pytest.approx(0.0, abs=1e-12)
-        assert back.p[-1] == pytest.approx(1.0, abs=1e-12)
+        x, p = flow_map(0.0, 1.0, 2.0, 0.1, TRAP)
+        x0, p0 = flow_map(x, p, -2.0, 0.1, TRAP)
+        assert x0 == pytest.approx(0.0, abs=1e-12)
+        assert p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_harmonic_rotation_second_order(self):
         t = 1.3
-        traj = hamilton_flow(0.7, -0.2, t=t, dt=t / 2048, hamiltonian=TRAP)
+        x, p = flow_map(0.7, -0.2, t, t / 2048, TRAP)
         x_exact = 0.7 * np.cos(t) - 0.2 * np.sin(t)
         p_exact = -0.2 * np.cos(t) - 0.7 * np.sin(t)
-        assert traj.x[-1] == pytest.approx(x_exact, abs=1e-7)
-        assert traj.p[-1] == pytest.approx(p_exact, abs=1e-7)
+        assert x == pytest.approx(x_exact, abs=1e-7)
+        assert p == pytest.approx(p_exact, abs=1e-7)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
-            hamilton_flow(0.0, 0.0, t=1.0, dt=-0.1, hamiltonian=FREE)
+            flow_map(0.0, 0.0, 1.0, -0.1, FREE)
         with pytest.raises(ValueError, match="exceeds"):
-            hamilton_flow(1.0, 0.0, t=1e5, dt=1e-4, hamiltonian=FREE)
+            flow_map(1.0, 0.0, 1e5, 1e-4, FREE)
 
-
-class TestFlowMap:
-    def test_matches_trajectory_endpoint(self):
-        fm = FlowMap(hamiltonian=TRAP, t=0.9, dt=0.01)
-        traj = hamilton_flow(1.1, 0.4, t=0.9, dt=0.01, hamiltonian=TRAP)
-        x, p = fm(1.1, 0.4)
-        assert x == pytest.approx(traj.x[-1], abs=1e-14)
-        assert p == pytest.approx(traj.p[-1], abs=1e-14)
+    def test_matches_stepwise_trajectory(self):
+        # n Verlet steps over t are n single steps of t/n, bit for bit
+        x, p = 1.1, 0.4
+        for _ in range(90):
+            x, p = flow_map(x, p, 0.9 / 90, 0.9 / 90, TRAP)
+        assert flow_map(1.1, 0.4, 0.9, 0.01, TRAP) == (x, p)
 
     def test_broadcasts_over_arrays(self):
-        fm = FlowMap(hamiltonian=FREE, t=2.0, dt=2.0)
-        x, p = fm(np.zeros(5), np.arange(5.0))
+        x, p = flow_map(np.zeros(5), np.arange(5.0), 2.0, 2.0, FREE)
         assert np.array_equal(x, 2.0 * np.arange(5.0))
         assert np.array_equal(p, np.arange(5.0))
 
@@ -208,9 +203,7 @@ class TestEvolveLiouville:
         rho = PhaseSpaceDensity(grid=g, values=values)
         out = evolve_liouville(rho, TRAP, 0.9, dt=0.01)
         i, j = np.unravel_index(np.argmax(out.values), out.values.shape)
-        x1, p1 = FlowMap(hamiltonian=TRAP, t=0.9, dt=0.01)(
-            g.x_centers[40], g.p_centers[36]
-        )
+        x1, p1 = flow_map(g.x_centers[40], g.p_centers[36], 0.9, 0.01, TRAP)
         assert abs(g.x_centers[i] - x1) <= g.window_width
         assert abs(g.p_centers[j] - p1) <= 2 * g.p_halfwidth
 
