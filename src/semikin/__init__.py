@@ -65,6 +65,7 @@ from .liouville import (
     evolve_liouville_nd,
     flow_jacobian,
     flow_map,
+    liouville_samples,
 )
 from .manybody import (
     CarrierState,
@@ -130,6 +131,7 @@ __all__ = [
     "HamiltonianSpec",
     "flow_map",
     "flow_jacobian",
+    "liouville_samples",
     "evolve_liouville",
     "evolve_liouville_nd",
     # manybody

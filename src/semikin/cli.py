@@ -31,7 +31,7 @@ from .correspondence import (
 )
 from .envelope import envelope_density, extract_envelope
 from .errors import NumericalFailure, ScenarioError
-from .liouville import evolve_liouville
+from .liouville import liouville_samples
 from .manybody import (
     CarrierState,
     EnvelopeFunctionND,
@@ -175,12 +175,15 @@ def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
 
 def _cmd_liouville(scenario: Scenario, outdir: Path, args) -> None:
     *_, rho0 = prepare(scenario, args.force)
-    hamiltonian = scenario.hamiltonian()
+    densities = liouville_samples(
+        rho0,
+        scenario.hamiltonian(),
+        scenario.sample_times,
+        dt=scenario.dt,
+        periodic_x=scenario.periodic_x,
+    )
     mass_rows = []
-    for i, t_i in enumerate(scenario.sample_times):
-        rho = evolve_liouville(
-            rho0, hamiltonian, t_i, dt=scenario.dt, periodic_x=scenario.periodic_x
-        )
+    for i, (t_i, rho) in enumerate(zip(scenario.sample_times, densities)):
         artifacts.save_density(rho, outdir / f"rho_{i:03d}", binary=args.dump_binary)
         mass_rows.append((t_i, phase_space_mass(rho)))
     artifacts.atomic_write_text(outdir / "masses.csv", artifacts._csv("t,mass", mass_rows))
@@ -261,10 +264,11 @@ def _cmd_kinetics(scenario: Scenario, outdir: Path, args) -> None:
     report = kinetic_scenario(scenario, force=args.force)
     artifacts.save_kinetic_report(report, outdir, binary=args.dump_binary)
     if scenario.rates is not None:
-        pg = scenario.phase_grid()
-        energies = pg.p_centers**2 / (2.0 * scenario.constants.mass)
         artifacts.save_rate_matrix(
-            scenario.rates, energies, scenario.constants.hbar, outdir / "rates"
+            scenario.rates,
+            report.densities[0].grid.cell_energies,
+            scenario.constants.hbar,
+            outdir / "rates",
         )
 
 

@@ -143,6 +143,11 @@ class PhaseSpaceGrid:
     def cell_area(self) -> float:
         return self.window_width * self.p_spacing
 
+    @property
+    def cell_energies(self) -> np.ndarray:
+        """Kinetic energy p²/2m at each momentum cell center."""
+        return self.p_centers**2 / (2.0 * self.constants.mass)
+
     @classmethod
     def from_spatial(
         cls,

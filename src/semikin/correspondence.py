@@ -40,8 +40,8 @@ from .core import (
 )
 from .envelope import ScaleReport, envelope_density, extract_envelope, scale_check
 from .errors import ScenarioError
-from .kinetics import RateMatrix, current_density, entropy, evolve_boltzmann
-from .liouville import _MAX_STEPS, HamiltonianSpec, evolve_liouville, flow_map
+from .kinetics import RateMatrix, _collisionless, current_density, entropy, evolve_boltzmann
+from .liouville import _MAX_STEPS, HamiltonianSpec, flow_map, liouville_samples
 from .schrodinger import (
     FreePotential,
     PotentialSpec,
@@ -305,7 +305,6 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     hamiltonian = scenario.hamiltonian()
     mass_ref = phase_space_mass(rho0)
     l2_ref = float(np.sqrt(np.sum(rho0.values**2)))
-    flow_x0, flow_p0 = expectation_x(psi0), expectation_p(psi0)
 
     n = len(scenario.sample_times)
     times = np.asarray(scenario.sample_times, dtype=float)
@@ -318,20 +317,20 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     m_env = np.empty(n)
     m_cl = np.empty(n)
 
-    for i, psi in enumerate(quantum_samples(scenario)):
+    classical = liouville_samples(
+        rho0, hamiltonian, times, dt=scenario.dt, periodic_x=scenario.periodic_x
+    )
+    xc, pc, t_prev = expectation_x(psi0), expectation_p(psi0), 0.0
+    for i, (psi, rho_cl) in enumerate(zip(quantum_samples(scenario), classical)):
         rho_env = envelope_density(
             extract_envelope(psi, pg, potential=scenario.potential, warn_scales=False)
         )
-        rho_cl = evolve_liouville(
-            rho0, hamiltonian, times[i], dt=scenario.dt, periodic_x=scenario.periodic_x
-        )
         l1[i], l2[i] = _relative_distances(rho_env, rho_cl, mass_ref, l2_ref)
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
-        if times[i] > 0.0:
-            xc, pc = flow_map(flow_x0, flow_p0, times[i], scenario.dt, hamiltonian)
-            x_c[i], p_c[i] = float(xc), float(pc)
-        else:
-            x_c[i], p_c[i] = flow_x0, flow_p0
+        # the packet-center characteristic continues from the previous sample
+        xc, pc = flow_map(xc, pc, times[i] - t_prev, scenario.dt, hamiltonian)
+        t_prev = times[i]
+        x_c[i], p_c[i] = float(xc), float(pc)
         m_env[i] = phase_space_mass(rho_env)
         m_cl[i] = phase_space_mass(rho_cl)
 
@@ -466,36 +465,42 @@ def kinetic_scenario(scenario: Scenario, force: bool = False) -> KineticReport:
     """Run the assembled collisional transport and log its histories.
 
     The initial distribution is the windowed projection of the
-    scenario's packet, so a rate-free run coincides — sample by sample,
-    bit for bit — with the classical branch of `run_correspondence`.
-    Every sample is evolved from t = 0, keeping the histories
-    deterministic and splitting-error accumulation out of late samples.
+    scenario's packet.  A rate-free run takes its densities from
+    `liouville_samples`, the classical branch of `run_correspondence`,
+    so the two coincide sample by sample, bit for bit.  With rates,
+    each sample is advanced from the previous one by one
+    `evolve_boltzmann` call over the interval.  Either way the work
+    grows with the last sample time, and on sample times that are whole
+    multiples of `dt` every sample carries the same bits as an
+    evolution from t = 0.
     """
-    _, pg, _, f0 = prepare(scenario, force)
+    *_, f0 = prepare(scenario, force)
     hamiltonian = scenario.hamiltonian()
 
     times = np.asarray(scenario.sample_times, dtype=float)
-    masses = np.empty(times.size)
-    entropies = np.empty(times.size)
-    currents = np.empty((times.size, pg.x_centers.size))
-    densities = []
-    for i, t_i in enumerate(times):
-        f_i = evolve_boltzmann(
-            f0,
-            hamiltonian,
-            scenario.rates,
-            t_i,
-            dt=scenario.dt,
-            periodic_x=scenario.periodic_x,
+    if _collisionless(scenario.rates):
+        densities = list(
+            liouville_samples(
+                f0, hamiltonian, times, dt=scenario.dt, periodic_x=scenario.periodic_x
+            )
         )
-        masses[i] = phase_space_mass(f_i)
-        entropies[i] = entropy(f_i.values)
-        currents[i] = current_density(f_i)
-        densities.append(f_i)
+    else:
+        densities, f, t_prev = [], f0, 0.0
+        for t_i in times:
+            f = evolve_boltzmann(
+                f,
+                hamiltonian,
+                scenario.rates,
+                t_i - t_prev,
+                dt=scenario.dt,
+                periodic_x=scenario.periodic_x,
+            )
+            t_prev = t_i
+            densities.append(f)
     return KineticReport(
         times=times,
-        mass=masses,
-        entropy=entropies,
-        current=currents,
+        mass=np.array([phase_space_mass(f_i) for f_i in densities]),
+        entropy=np.array([entropy(f_i.values) for f_i in densities]),
+        current=np.array([current_density(f_i) for f_i in densities]),
         densities=tuple(densities),
     )

@@ -412,7 +412,12 @@ def load_scenario(
         for dotted, value in overrides.items():
             if "." not in dotted:
                 raise ScenarioError(f"override key {dotted!r} must look like section.key")
-            section, key = dotted.split(".", 1)
+            # keys hold no dots, but labelled sections do: [packet.left]
+            section, key = dotted.rsplit(".", 1)
+            if section == parser.default_section:
+                # configparser keeps DEFAULT out of sections(), so the
+                # schema check below would never see it
+                raise ScenarioError(f"unknown section [{section}] in {path}")
             if not parser.has_section(section):
                 parser.add_section(section)
             parser[section][key] = value
@@ -480,11 +485,10 @@ def load_scenario(
         pg = PhaseSpaceGrid.from_spatial(
             grid, constants, window_cells=window_cells, p_center=grid_p_center, n_p=n_p
         )
-        energies = pg.p_centers**2 / (2.0 * constants.mass)
         k = pg.p_centers.size
         v = coupling * (np.ones((k, k), dtype=complex) - np.eye(k))
         rates = fermi_rates(
-            InteractionMatrix(values=v), StateSpace(energies=energies), eta,
+            InteractionMatrix(values=v), StateSpace(energies=pg.cell_energies), eta,
             hbar=constants.hbar,
         )
 

@@ -329,6 +329,11 @@ def current_density(
     return measure * (f @ p)
 
 
+def _collisionless(rates: Optional[RateMatrix]) -> bool:
+    """True when `rates` hops nothing: None or all zero."""
+    return rates is None or not np.any(rates.values)
+
+
 def evolve_boltzmann(
     f0: PhaseSpaceDensity,
     hamiltonian: HamiltonianSpec,
@@ -348,7 +353,7 @@ def evolve_boltzmann(
     """
     if t < 0.0:
         raise ValueError("collisional evolution runs forward only")
-    if rates is None or not np.any(rates.values):
+    if _collisionless(rates):
         return evolve_liouville(f0, hamiltonian, t, dt=dt, periodic_x=periodic_x)
     if rates.size != f0.grid.p_centers.size:
         raise ValueError("rate matrix must live on the density's momentum cells")

@@ -6,14 +6,16 @@ semi-Lagrangian: every target cell center is traced *backwards* through
 the flow (velocity Verlet, symplectic and second order; exact for free
 and uniform-force motion) and the initial density is read off there with
 a single bilinear interpolation — no resampling noise, positivity
-preserved, measure conserved up to the interpolation bound.
+preserved, measure conserved up to the interpolation bound.  Successive
+samples carry the backtrace feet forward (`liouville_samples`), so the
+Verlet work of a run grows with its last sample time.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "HamiltonianSpec",
     "flow_map",
     "flow_jacobian",
+    "liouville_samples",
     "evolve_liouville",
     "evolve_liouville_nd",
 ]
@@ -175,6 +178,62 @@ def _leaked_fraction(values: np.ndarray, fx, fp, periodic_x: bool) -> float:
     return float(np.sum(pen * edge) / total)
 
 
+def liouville_samples(
+    rho0: PhaseSpaceDensity,
+    hamiltonian: HamiltonianSpec,
+    times: Sequence[float],
+    dt: float | None = None,
+    periodic_x: bool = False,
+) -> Iterator[PhaseSpaceDensity]:
+    """Yield ρ(tᵢ) = ρ₀(Φ₋ₜᵢ(z)) at every time of `times`, in order.
+
+    The backtrace feet of tᵢ are those of tᵢ₋₁ carried back over the
+    interval, Φ₋ₜᵢ = Φ₋₍ₜᵢ₋ₜᵢ₋₁₎ ∘ Φ₋ₜᵢ₋₁, so the Verlet work grows with
+    the last time, not with the sum of the times; ρ₀ itself is still
+    interpolated exactly once per sample, so no interpolation diffusion
+    builds up.  `dt` bounds the Verlet step of every interval (default:
+    one step per interval).  When each interval is a whole number of
+    `dt`, the steps, and so the feet, are bit for bit those of one flow
+    from t = 0; otherwise only the step split differs, within the
+    O(dt²) Verlet bound.  A sample at t = 0 is ρ₀ itself.
+    """
+    g = rho0.grid
+    feet_x, feet_p = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
+    t_prev = 0.0
+    for t in times:
+        if t != t_prev:
+            delta = t - t_prev
+            feet_x, feet_p = flow_map(
+                feet_x, feet_p, -delta, abs(delta) if dt is None else dt, hamiltonian
+            )
+            t_prev = t
+        if t == 0.0:
+            # zero-length transport is the identity; skip the interpolation
+            # so t = 0 samples reproduce the initial data exactly
+            yield PhaseSpaceDensity(grid=g, values=rho0.values.copy(), time=rho0.time)
+            continue
+        if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
+            raise NumericalFailure("backtraced characteristics are not finite")
+        fx = (feet_x - g.x_centers[0]) / g.window_width
+        fp = (feet_p - g.p_centers[0]) / g.p_spacing
+
+        leak = _leaked_fraction(rho0.values, fx, fp, periodic_x)
+        if leak > _BOUNDARY_MASS_TOL:
+            raise NumericalFailure(
+                f"backtrace leaves the grid across boundary cells holding"
+                f" {leak:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
+            )
+
+        out = PhaseSpaceDensity(
+            grid=g, values=_bilinear(rho0.values, fx, fp, periodic_x), time=rho0.time + t
+        )
+        m0 = phase_space_mass(rho0)
+        if m0 > 0.0:
+            drift = (phase_space_mass(out) - m0) / m0
+            logger.debug("liouville mass drift over t=%g: %.3e", t, drift)
+        yield out
+
+
 def evolve_liouville(
     rho0: PhaseSpaceDensity,
     hamiltonian: HamiltonianSpec,
@@ -189,39 +248,10 @@ def evolve_liouville(
     is interpolated exactly once.  With `periodic_x` the spatial axis
     wraps; otherwise both axes are open and a backtrace that exits the
     grid while ρ₀ holds noticeable boundary mass raises
-    `NumericalFailure`.
+    `NumericalFailure`.  This is the one-sample case of
+    `liouville_samples`.
     """
-    g = rho0.grid
-    if t == 0.0:
-        # zero-length transport is the identity; skip the interpolation
-        # so t = 0 samples reproduce the initial data exactly
-        return PhaseSpaceDensity(grid=g, values=rho0.values.copy(), time=rho0.time)
-    if dt is None:
-        dt = abs(t)
-    x_nodes, p_nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
-    feet_x, feet_p = flow_map(x_nodes, p_nodes, -t, dt, hamiltonian)
-    if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
-        raise NumericalFailure("backtraced characteristics are not finite")
-
-    sx = g.window_width
-    sp = g.p_spacing
-    fx = (feet_x - g.x_centers[0]) / sx
-    fp = (feet_p - g.p_centers[0]) / sp
-
-    leak = _leaked_fraction(rho0.values, fx, fp, periodic_x)
-    if leak > _BOUNDARY_MASS_TOL:
-        raise NumericalFailure(
-            f"backtrace leaves the grid across boundary cells holding"
-            f" {leak:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
-        )
-
-    values = _bilinear(rho0.values, fx, fp, periodic_x)
-    out = PhaseSpaceDensity(grid=g, values=values, time=rho0.time + t)
-    m0 = phase_space_mass(rho0)
-    if m0 > 0.0:
-        drift = (phase_space_mass(out) - m0) / m0
-        logger.debug("liouville mass drift over t=%g: %.3e", t, drift)
-    return out
+    return next(liouville_samples(rho0, hamiltonian, (t,), dt, periodic_x))
 
 
 def evolve_liouville_nd(

@@ -15,6 +15,7 @@ import pytest
 
 import semikin
 from semikin.core import PhysicalConstants, l2_norm
+from semikin import correspondence, liouville
 from semikin.correspondence import (
     CorrespondenceReport,
     PacketSpec,
@@ -22,12 +23,15 @@ from semikin.correspondence import (
     barrier_split_experiment,
     dispersion_time,
     kinetic_scenario,
+    prepare,
     quantum_samples,
     run_correspondence,
 )
 from semikin.envelope import ScaleReport
 from semikin.errors import ScenarioError
 from semikin.io import load_scenario
+from semikin.kinetics import evolve_boltzmann
+from semikin.liouville import _step_count
 
 SCENARIO_DIR = Path(semikin.__file__).parent / "scenarios"
 
@@ -255,3 +259,56 @@ class TestKineticScenario:
         assert j_start > 1e-4, "scenario should start with a real drift"
         assert j_end < j_start / 20.0, f"current only decayed {j_start / j_end:.1f}x"
         assert np.all(np.diff(report.entropy) >= -1e-12)
+
+
+class TestIncrementalSamples:
+    """Each sample is advanced from the previous one, not from t = 0."""
+
+    def test_collisional_samples_match_evolutions_from_zero_bitwise(self):
+        # the sample times are whole multiples of dt, so stepping from the
+        # previous sample repeats the arithmetic of a run from t = 0
+        scenario = load_scenario(SCENARIO_DIR / "relaxation.ini")
+        *_, f0 = prepare(scenario)
+        report = kinetic_scenario(scenario)
+        for t, f in zip(report.times, report.densities):
+            direct = evolve_boltzmann(
+                f0, scenario.hamiltonian(), scenario.rates, t,
+                dt=scenario.dt, periodic_x=scenario.periodic_x,
+            )
+            assert f.time == direct.time
+            assert np.array_equal(f.values, direct.values)
+
+    def test_verlet_work_grows_with_the_last_sample_time(self, monkeypatch):
+        steps = {"feet": 0, "center": 0}
+
+        def counted(stream, flow):
+            def wrapper(x, p, t, dt, hamiltonian):
+                if t != 0.0:
+                    steps[stream] += _step_count(t, dt)
+                return flow(x, p, t, dt, hamiltonian)
+
+            return wrapper
+
+        monkeypatch.setattr(liouville, "flow_map", counted("feet", liouville.flow_map))
+        monkeypatch.setattr(
+            correspondence, "flow_map", counted("center", correspondence.flow_map)
+        )
+        run_correspondence(tiny_scenario(sample_times=(0.0, 4.0, 8.0, 16.0)))
+        # ⌈16/0.1⌉ steps per stream, not ⌈4/0.1⌉ + ⌈8/0.1⌉ + ⌈16/0.1⌉ = 280
+        assert steps == {"feet": 160, "center": 160}
+
+    def test_master_steps_grow_with_the_last_sample_time(self, monkeypatch):
+        steps = []
+
+        def counted(f0, hamiltonian, rates, t, dt=None, periodic_x=False):
+            if t > 0.0:
+                steps.append(_step_count(t, dt))
+            return evolve_boltzmann(f0, hamiltonian, rates, t, dt, periodic_x)
+
+        monkeypatch.setattr(correspondence, "evolve_boltzmann", counted)
+        scenario = load_scenario(
+            SCENARIO_DIR / "relaxation.ini", overrides={"time.samples": "0, 1, 2, 4"}
+        )
+        kinetic_scenario(scenario)
+        # ⌈4/0.1⌉ Strang steps, not ⌈1/0.1⌉ + ⌈2/0.1⌉ + ⌈4/0.1⌉ = 70
+        assert sum(steps) == 40

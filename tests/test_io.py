@@ -234,6 +234,18 @@ class TestLoadScenario:
         assert s.packets[0].sigma == 40.0
         assert s.dt == 0.25
 
+    def test_override_reaches_a_labelled_packet_section(self):
+        s = artifacts.load_scenario(
+            SCENARIO_DIR / "two_packet.ini", overrides={"packet.left.sigma": "60"}
+        )
+        assert [packet.sigma for packet in s.packets] == [50.0, 60.0]
+
+    def test_default_section_override_is_an_unknown_section(self):
+        with pytest.raises(ScenarioError, match=r"unknown section \[DEFAULT\]"):
+            artifacts.load_scenario(
+                SCENARIO_DIR / "two_packet.ini", overrides={"DEFAULT.x": "1"}
+            )
+
     def test_seed_parameter_wins(self):
         s = artifacts.load_scenario(SCENARIO_DIR / "free_packet.ini", seed=99)
         assert s.seed == 99

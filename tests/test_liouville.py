@@ -20,6 +20,7 @@ from semikin.liouville import (
     evolve_liouville_nd,
     flow_jacobian,
     flow_map,
+    liouville_samples,
 )
 from semikin.schrodinger import (
     FreePotential,
@@ -229,6 +230,44 @@ class TestEvolveLiouville:
             out = evolve_liouville(rho, TRAP, 0.785, dt=0.785 / 64)
             results.append(out.values)
         assert np.array_equal(results[0], results[1])
+
+
+class TestLiouvilleSamples:
+    """Backtrace feet composed across samples: Φ₋ₜᵢ = Φ₋₍ₜᵢ₋ₜᵢ₋₁₎ ∘ Φ₋ₜᵢ₋₁."""
+
+    @pytest.mark.parametrize("hamiltonian", [TRAP, FREE], ids=["trap", "free"])
+    def test_lattice_times_match_flows_from_zero_bitwise(self, hamiltonian, constants):
+        # every interval is a whole number of dt, so each interval's
+        # Verlet step is the one-flow step and the composed feet are the
+        # one-flow feet bit for bit
+        g = square_grid(64, 8.0, constants)
+        rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
+        times = (0.0, 0.25, 0.5, 1.25)
+        samples = list(liouville_samples(rho0, hamiltonian, times, dt=0.05))
+        assert len(samples) == len(times)
+        for t, rho in zip(times, samples):
+            direct = evolve_liouville(rho0, hamiltonian, t, dt=0.05)
+            assert rho.time == direct.time == t
+            assert np.array_equal(rho.values, direct.values)
+
+    @pytest.mark.parametrize("dt", [0.25, 0.125])
+    def test_off_lattice_times_agree_to_second_order(self, dt, constants):
+        # 0.3 and 0.4 are no whole number of dt: only the step split
+        # differs, and both splits carry the O(dt²) Verlet error
+        g = square_grid(64, 8.0, constants)
+        rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
+        times = (0.3, 0.7, 1.3)
+        for t, rho in zip(times, liouville_samples(rho0, TRAP, times, dt=dt)):
+            direct = evolve_liouville(rho0, TRAP, t, dt=dt)
+            worst = float(np.max(np.abs(rho.values - direct.values)))
+            assert worst < 0.25 * dt**2, f"t = {t}: composed feet differ by {worst}"
+
+    def test_negative_and_zero_times(self, constants):
+        g = square_grid(64, 8.0, constants)
+        rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
+        back, home = liouville_samples(rho0, TRAP, (-0.5, 0.0), dt=0.05)
+        assert np.array_equal(back.values, evolve_liouville(rho0, TRAP, -0.5, dt=0.05).values)
+        assert np.array_equal(home.values, rho0.values)
 
 
 class TestSeparableTransport:
