@@ -6,13 +6,15 @@ drops plain CSV/JSON artifacts into the output directory.  Outputs are
 written atomically and carry no timestamps, so identical invocations
 produce byte-identical files.
 
-Exit codes: 0 success; 1 scenario/configuration problems; 2 numerical
-failure diagnostics (stability bound, norm drift, transport leakage).
+Exit codes: 0 success; 1 scenario/configuration problems, usage
+errors included; 2 numerical failure diagnostics (stability bound, norm
+drift, transport leakage).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -46,8 +48,17 @@ OUTPUT_ROOT_ENV = "SEMIKIN_OUTPUT_ROOT"
 _SCENARIO_COMMANDS = ("schrodinger", "envelope", "liouville", "kinetics", "compare", "barrier")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report usage errors as `ScenarioError`, so they exit 1 with one
+    line like every other configuration problem; argparse itself would
+    exit 2, the code of numerical failures.  Subparsers inherit it."""
+
+    def error(self, message):
+        raise ScenarioError(f"{message} (see {self.prog} --help)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semikin",
         description="quantum-to-classical phase-space kinetics workbench",
     )
@@ -56,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         help=f"output root (default: ${OUTPUT_ROOT_ENV} or ./semikin-out)",
     )
-    common.add_argument("--seed", type=int, default=None, help="override the seed")
     common.add_argument(
         "--force",
         action="store_true",
@@ -89,10 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name in _SCENARIO_COMMANDS:
         sub.add_parser(name, parents=[common, scenario_arg], help=helps[name])
-    sub.add_parser(
+    check = sub.add_parser(
         "manybody-check",
         parents=[common],
         help="print the carrier-algebra residual table",
+    )
+    check.add_argument(
+        "--seed", type=int, default=0, help="seed of the random probe points (default 0)"
     )
     return parser
 
@@ -115,9 +128,7 @@ def _output_dir(args) -> Path:
 
 
 def _load(args) -> Scenario:
-    return artifacts.load_scenario(
-        args.scenario, overrides=_parse_overrides(args.override), seed=args.seed
-    )
+    return artifacts.load_scenario(args.scenario, overrides=_parse_overrides(args.override))
 
 
 # --------------------------------------------------------------------------
@@ -149,20 +160,11 @@ def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
     # the report is the artifact here, so a failing packet still gets one
     _, pg, report, _ = prepare(scenario, force=True)
     artifacts.atomic_write_text(
-        outdir / "scale.json",
-        artifacts._json(
-            {
-                "wavelength": report.wavelength,
-                "envelope_scale": report.envelope_scale,
-                "carrier_ratio": report.carrier_ratio,
-                "envelope_ratio": report.envelope_ratio,
-                "satisfied": report.satisfied,
-            }
-        ),
+        outdir / "scale.json", artifacts._json(dataclasses.asdict(report))
     )
     index_rows = []
     for i, psi in enumerate(quantum_samples(scenario)):
-        field = extract_envelope(psi, pg, potential=scenario.potential, warn_scales=False)
+        field = extract_envelope(psi, pg, potential=scenario.potential)
         artifacts.save_envelope(field, outdir / f"env_{i:03d}", binary=args.dump_binary)
         artifacts.save_density(
             envelope_density(field), outdir / f"rho_{i:03d}", binary=args.dump_binary
@@ -252,7 +254,7 @@ def _manybody_rows(seed: int) -> list[tuple[str, str, float]]:
 
 
 def _cmd_manybody(outdir: Path, args) -> None:
-    rows = _manybody_rows(args.seed if args.seed is not None else 0)
+    rows = _manybody_rows(args.seed)
     lines = ["check,detail,residual"]
     lines.extend(f"{check},{detail},{residual!r}" for check, detail, residual in rows)
     table = "\n".join(lines) + "\n"
@@ -283,8 +285,8 @@ def _cmd_barrier(scenario: Scenario, outdir: Path, args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         outdir = _output_dir(args)
         if args.command == "manybody-check":
             _cmd_manybody(outdir, args)

@@ -156,13 +156,12 @@ class PhaseSpaceGrid:
         window_cells: int,
         p_center: float = 0.0,
         n_p: int | None = None,
-        chi_product: float | None = None,
     ) -> "PhaseSpaceGrid":
         """Build the coarse grid attached to a fine spatial grid.
 
         `window_cells` fine cells per window (must divide n).  Momentum
         cells are centered on `p_center` and tile at the dual spacing
-        2πħ/Δx; `chi_product` overrides the default Δx·Δp = πħ.
+        2πħ/Δx, so Δx·Δp = πħ.
         `n_p` defaults to `window_cells`, the full non-aliased band.
         """
         if window_cells < 1 or grid.n % window_cells != 0:
@@ -170,10 +169,7 @@ class PhaseSpaceGrid:
                 f"window of {window_cells} cells does not tile a grid of {grid.n} points"
             )
         dxw = window_cells * grid.dx
-        product = np.pi * constants.hbar if chi_product is None else float(chi_product)
-        if product <= 0.0:
-            raise ValueError("coarse-graining product must be positive")
-        p_halfwidth = product / dxw
+        p_halfwidth = np.pi * constants.hbar / dxw
         spacing = 2.0 * p_halfwidth
         if n_p is None:
             n_p = window_cells

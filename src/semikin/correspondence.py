@@ -103,7 +103,6 @@ class Scenario:
     sample_times: tuple[float, ...]
     dt: float
     rates: Optional[RateMatrix] = None
-    seed: int = 0
     periodic_x: bool = False
 
     def __post_init__(self) -> None:
@@ -265,9 +264,7 @@ def prepare(
             f" {report.carrier_ratio:.3g}, envelope ratio"
             f" {report.envelope_ratio:.3g}); pass force=True to run anyway"
         )
-    rho0 = envelope_density(
-        extract_envelope(psi0, pg, potential=scenario.potential, warn_scales=False)
-    )
+    rho0 = envelope_density(extract_envelope(psi0, pg, potential=scenario.potential))
     return psi0, pg, report, rho0
 
 
@@ -322,9 +319,7 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     )
     xc, pc, t_prev = expectation_x(psi0), expectation_p(psi0), 0.0
     for i, (psi, rho_cl) in enumerate(zip(quantum_samples(scenario), classical)):
-        rho_env = envelope_density(
-            extract_envelope(psi, pg, potential=scenario.potential, warn_scales=False)
-        )
+        rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
         l1[i], l2[i] = _relative_distances(rho_env, rho_cl, mass_ref, l2_ref)
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
         # the packet-center characteristic continues from the previous sample
@@ -401,9 +396,7 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     psi_last = None
 
     for i, psi in enumerate(quantum_samples(scenario)):
-        rho_env = envelope_density(
-            extract_envelope(psi, pg, potential=scenario.potential, warn_scales=False)
-        )
+        rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
         m_env[i] = phase_space_mass(rho_env)
         for label, mask in (("transmitted", mask_t), ("reflected", mask_r)):

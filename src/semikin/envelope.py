@@ -28,7 +28,6 @@ reads 1/Δx, and equals 1 when the window width is the unit of length.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -147,7 +146,6 @@ def extract_envelope(
     psi: WaveFunction,
     grid: PhaseSpaceGrid,
     potential: PotentialSpec | None = None,
-    warn_scales: bool = True,
 ) -> EnvelopeField:
     """Project ψ onto the carrier of every coarse cell.
 
@@ -157,18 +155,9 @@ def extract_envelope(
     freely translating packet has an essentially time-independent A.
     The E₀t phase cancels in |A|², so densities never depend on it.
 
-    Emits a warning (and still computes) when the scale separation
-    ratios exceed 0.25.
+    The projection is computed whatever the scale separation; callers
+    gate it with `scale_check`.
     """
-    if warn_scales:
-        report = scale_check(psi, grid)
-        if not report.satisfied:
-            warnings.warn(
-                "scale separation violated: carrier ratio"
-                f" {report.carrier_ratio:.3g}, envelope ratio"
-                f" {report.envelope_ratio:.3g} (limit {SCALE_RATIO_LIMIT})",
-                stacklevel=2,
-            )
     raw = _raw_extract(psi, grid)
     c = psi.constants
     kinetic = grid.p_centers**2 / (2.0 * c.mass)

@@ -10,7 +10,6 @@ Scenario files are INI-style key-value text::
 
     [scenario]
     name = free-packet
-    seed = 0
 
     [grid]
     dx = 1.0
@@ -33,22 +32,26 @@ Scenario files are INI-style key-value text::
 Several packets use distinct section names ([packet.a], [packet.b]).
 An optional [rates] section (coupling, eta, kind=uniform) builds a
 golden-rule rate matrix on the scenario's momentum cells with energies
-p²/2m and uniform couplings.  A section or key outside `_SCHEMA`
-raises `ScenarioError`, whether it comes from the file or an override.
+p²/2m and uniform couplings.  `_SCHEMA` and `_KINDS` are the one
+table of what a file means: a section or key outside them raises
+`ScenarioError`, whether it comes from the file or an override, and a
+key left out takes the default of the constructor argument it feeds.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import functools
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants, SpatialGrid
+from .core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants
 from .correspondence import CorrespondenceReport, KineticReport, PacketSpec, Scenario
 from .envelope import EnvelopeField
 from .errors import ScenarioError
@@ -58,7 +61,6 @@ from .schrodinger import (
     GaussianBarrier,
     HarmonicPotential,
     LinearPotential,
-    PotentialSpec,
     WaveFunction,
 )
 
@@ -237,13 +239,7 @@ def _report_dict(report: CorrespondenceReport) -> dict:
         "p_classical": listed(report.p_classical),
         "mass_envelope": listed(report.mass_envelope),
         "mass_classical": listed(report.mass_classical),
-        "scale": {
-            "wavelength": report.scale.wavelength,
-            "envelope_scale": report.scale.envelope_scale,
-            "carrier_ratio": report.scale.carrier_ratio,
-            "envelope_ratio": report.scale.envelope_ratio,
-            "satisfied": report.scale.satisfied,
-        },
+        "scale": dataclasses.asdict(report.scale),
     }
     if report.barrier is not None:
         b = report.barrier
@@ -326,78 +322,112 @@ def save_kinetic_report(
 # --------------------------------------------------------------------------
 
 
-#: the keys each section may hold.  [packet.<label>] sections take the
-#: [packet] keys; [potential] takes "kind" plus the keys of that kind.
-_SCHEMA = {
-    "scenario": ("name", "seed", "periodic_x"),
-    "constants": ("hbar", "mass", "charge"),
-    "grid": ("x_min", "dx", "n_x", "window_cells", "n_p", "p_center"),
-    "packet": ("x_center", "p_center", "sigma", "weight"),
-    "potential": {
-        "free": (),
-        "linear": ("force",),
-        "harmonic": ("k",),
-        "gaussian_barrier": ("v0", "x_b", "width", "smooth"),
-    },
-    "rates": ("kind", "coupling", "eta"),
-    "time": ("dt", "samples"),
-}
-
-
-def _check_schema(parser: configparser.ConfigParser, path: Path) -> None:
-    for section in parser.sections():
-        allowed = _SCHEMA.get("packet" if section.startswith("packet.") else section)
-        if allowed is None:
-            raise ScenarioError(f"unknown section [{section}] in {path}")
-        if section == "potential":
-            kind = parser[section].get("kind", "free").strip().lower()
-            if kind not in allowed:
-                raise ScenarioError(f"unknown potential kind {kind!r}")
-            allowed = ("kind", *allowed[kind])
-        for key in parser[section]:
-            if key not in allowed:
-                raise ScenarioError(
-                    f"unknown key {key!r} in [{section}] of {path}"
-                    f" (allowed: {', '.join(allowed)})"
-                )
-
-
-def _parse_potential(section: Optional[Mapping[str, str]]) -> PotentialSpec:
-    """Build the potential of a schema-checked [potential] section."""
-    kind = "free" if section is None else section.get("kind", "free").strip().lower()
-    try:
-        if kind == "linear":
-            return LinearPotential(force=float(section["force"]))
-        if kind == "harmonic":
-            return HarmonicPotential(k=float(section["k"]))
-        if kind == "gaussian_barrier":
-            smooth = str(section.get("smooth", "false")).strip().lower() in ("1", "true", "yes")
-            return GaussianBarrier(
-                v0=float(section["v0"]),
-                x_b=float(section["x_b"]),
-                width=float(section["width"]),
-                is_smooth=smooth,
-            )
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"bad [potential] section: {exc}") from exc
-    return FreePotential()
+def _flag(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes")
 
 
 def _floats_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def load_scenario(
-    path: Path,
-    overrides: Optional[Mapping[str, str]] = None,
-    seed: Optional[int] = None,
-) -> Scenario:
+def _uniform_rates(grid: PhaseSpaceGrid, *, coupling: float, eta: float) -> RateMatrix:
+    """Golden-rule rates between the momentum cells of `grid`, with cell
+    energies p²/2m and the same coupling between every pair of cells."""
+    k = grid.p_centers.size
+    v = coupling * (np.ones((k, k), dtype=complex) - np.eye(k))
+    return fermi_rates(
+        InteractionMatrix(values=v),
+        StateSpace(energies=grid.cell_energies),
+        eta,
+        hbar=grid.constants.hbar,
+    )
+
+
+#: every key a section may hold, mapped to the constructor argument it
+#: feeds and the converter of its raw text.  [scenario], [grid] and
+#: [time] feed `Scenario`, [constants] `PhysicalConstants`, and each
+#: [packet] or [packet.<label>] section one `PacketSpec`; an absent key
+#: takes the constructor's default.
+_SCHEMA = {
+    "scenario": {"name": ("name", str), "periodic_x": ("periodic_x", _flag)},
+    "constants": {
+        "hbar": ("hbar", float),
+        "mass": ("mass", float),
+        "charge": ("charge", float),
+    },
+    "grid": {
+        "x_min": ("x_min", float),
+        "dx": ("dx", float),
+        "n_x": ("n_x", int),
+        "window_cells": ("window_cells", int),
+        "n_p": ("n_p", int),
+        "p_center": ("grid_p_center", float),
+    },
+    "packet": {
+        "x_center": ("x_center", float),
+        "p_center": ("p_center", float),
+        "sigma": ("sigma", float),
+        "weight": ("weight", float),
+    },
+    "time": {"dt": ("dt", float), "samples": ("sample_times", _floats_list)},
+}
+
+#: [potential] and [rates] hold "kind" plus the keys of that kind; each
+#: kind names its builder and the table of its keys.  The first kind of
+#: a section is the one a section without "kind" gets.
+_KINDS = {
+    "potential": {
+        "free": (FreePotential, {}),
+        "linear": (LinearPotential, {"force": ("force", float)}),
+        "harmonic": (HarmonicPotential, {"k": ("k", float)}),
+        "gaussian_barrier": (
+            GaussianBarrier,
+            {
+                "v0": ("v0", float),
+                "x_b": ("x_b", float),
+                "width": ("width", float),
+                "smooth": ("is_smooth", _flag),
+            },
+        ),
+    },
+    "rates": {
+        "uniform": (_uniform_rates, {"coupling": ("coupling", float), "eta": ("eta", float)}),
+    },
+}
+
+
+def _table(
+    name: str, section: Mapping[str, str], path: Path
+) -> tuple[Optional[Callable], dict]:
+    """The builder and key table of one section.  [potential] and [rates]
+    get those of the kind they name; the other sections have no builder
+    of their own.  An unknown section or kind raises `ScenarioError`."""
+    if name in _KINDS:
+        kinds = _KINDS[name]
+        kind = section.get("kind", next(iter(kinds))).strip().lower()
+        if kind not in kinds:
+            raise ScenarioError(f"unknown {name} kind {kind!r}")
+        return kinds[kind]
+    keys = _SCHEMA.get("packet" if name.startswith("packet.") else name)
+    if keys is None:
+        raise ScenarioError(f"unknown section [{name}] in {path}")
+    return None, keys
+
+
+def _arguments(section: Mapping[str, str], keys: Mapping[str, tuple]) -> dict:
+    """The constructor arguments of the keys present in `section`."""
+    return {
+        arg: convert(section[key]) for key, (arg, convert) in keys.items() if key in section
+    }
+
+
+def load_scenario(path: Path, overrides: Optional[Mapping[str, str]] = None) -> Scenario:
     """Parse an INI scenario file into a validated `Scenario`.
 
     `overrides` maps dotted keys ("section.key") to replacement raw
-    values, applied before interpretation; `seed` replaces the
-    scenario's seed outright.  Any missing file, unknown section or key,
-    unparsable value or inconsistent combination raises `ScenarioError`.
+    values, applied before interpretation.  Any missing file, unknown
+    section or key, missing or unparsable value or inconsistent
+    combination raises `ScenarioError`.
     """
     path = Path(path)
     if not path.is_file():
@@ -421,91 +451,37 @@ def load_scenario(
             if not parser.has_section(section):
                 parser.add_section(section)
             parser[section][key] = value
-    _check_schema(parser, path)
 
-    try:
-        meta = parser["scenario"] if parser.has_section("scenario") else {}
-        name = meta.get("name", path.stem)
-        scenario_seed = int(meta.get("seed", 0)) if seed is None else int(seed)
-        periodic_x = str(meta.get("periodic_x", "false")).strip().lower() in ("1", "true", "yes")
-
-        if parser.has_section("constants"):
-            c = parser["constants"]
-            constants = PhysicalConstants(
-                hbar=float(c.get("hbar", 1.0)),
-                mass=float(c.get("mass", 1.0)),
-                charge=float(c.get("charge", 1.0)),
-            )
-        else:
-            constants = PhysicalConstants()
-
-        g = parser["grid"]
-        x_min = float(g.get("x_min", 0.0))
-        dx = float(g["dx"])
-        n_x = int(g["n_x"])
-        window_cells = int(g["window_cells"])
-        n_p = int(g["n_p"]) if "n_p" in g else None
-        grid_p_center = float(g.get("p_center", 0.0))
-
-        packets = []
-        for section_name in parser.sections():
-            if section_name == "packet" or section_name.startswith("packet."):
-                s = parser[section_name]
-                packets.append(
-                    PacketSpec(
-                        x_center=float(s["x_center"]),
-                        p_center=float(s["p_center"]),
-                        sigma=float(s["sigma"]),
-                        weight=float(s.get("weight", 1.0)),
-                    )
-                )
-
-        t = parser["time"]
-        dt = float(t["dt"])
-        sample_times = _floats_list(t["samples"])
-
-        potential = _parse_potential(
-            parser["potential"] if parser.has_section("potential") else None
-        )
-    except (KeyError, ValueError, configparser.Error) as exc:
-        raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
-
+    arguments = {"name": path.stem}
+    packets = []
     rates = None
-    if parser.has_section("rates"):
-        try:
-            r = parser["rates"]
-            kind = r.get("kind", "uniform").strip().lower()
-            if kind != "uniform":
-                raise ScenarioError(f"unknown rates kind {kind!r}")
-            coupling = float(r["coupling"])
-            eta = float(r["eta"])
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad [rates] section: {exc}") from exc
-        grid = SpatialGrid(x_min=x_min, dx=dx, n=n_x)
-        pg = PhaseSpaceGrid.from_spatial(
-            grid, constants, window_cells=window_cells, p_center=grid_p_center, n_p=n_p
-        )
-        k = pg.p_centers.size
-        v = coupling * (np.ones((k, k), dtype=complex) - np.eye(k))
-        rates = fermi_rates(
-            InteractionMatrix(values=v), StateSpace(energies=pg.cell_energies), eta,
-            hbar=constants.hbar,
-        )
-
-    return Scenario(
-        name=name,
-        constants=constants,
-        potential=potential,
-        packets=tuple(packets),
-        x_min=x_min,
-        dx=dx,
-        n_x=n_x,
-        window_cells=window_cells,
-        n_p=n_p,
-        grid_p_center=grid_p_center,
-        sample_times=sample_times,
-        dt=dt,
-        rates=rates,
-        seed=scenario_seed,
-        periodic_x=periodic_x,
-    )
+    try:
+        for name in parser.sections():
+            section = parser[name]
+            build, keys = _table(name, section, path)
+            allowed = ("kind", *keys) if build else tuple(keys)
+            for key in section:
+                if key not in allowed:
+                    raise ScenarioError(
+                        f"unknown key {key!r} in [{name}] of {path}"
+                        f" (allowed: {', '.join(allowed)})"
+                    )
+            values = _arguments(section, keys)
+            if name == "potential":
+                arguments["potential"] = build(**values)
+            elif name == "rates":
+                # built below, on the momentum cells of the loaded scenario
+                rates = functools.partial(build, **values)
+            elif name == "constants":
+                arguments["constants"] = PhysicalConstants(**values)
+            elif name == "packet" or name.startswith("packet."):
+                packets.append(PacketSpec(**values))
+            else:
+                arguments.update(values)
+        scenario = Scenario(packets=tuple(packets), **arguments)
+        if rates is not None:
+            scenario = dataclasses.replace(scenario, rates=rates(scenario.phase_grid()))
+    except (TypeError, ValueError) as exc:
+        # a missing required key surfaces as the constructor's TypeError
+        raise ScenarioError(f"bad scenario file {path}: {exc}") from exc
+    return scenario

@@ -19,7 +19,6 @@ from semikin.io import load_rate_matrix
 TINY = """\
 [scenario]
 name = tiny
-seed = 0
 
 [grid]
 x_min = 0.0
@@ -44,7 +43,6 @@ samples = 0, 64
 TINY_RELAX = """\
 [scenario]
 name = tiny-relax
-seed = 0
 periodic_x = true
 
 [grid]
@@ -124,6 +122,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("semikin: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "cut, put",
+        [
+            ("dx = 1.0\n", ""),
+            ("[time]\ndt = 0.1\nsamples = 0, 64\n", ""),
+            ("sigma = 48.0\n", ""),
+            ("kind = free\n", "kind = gaussian_barrier\nx_b = 700.0\nwidth = 6.0\n"),
+        ],
+        ids=["grid.dx", "time", "packet.sigma", "potential.v0"],
+    )
+    def test_missing_required_input_is_a_configuration_error(
+        self, cut, put, tmp_path, capsys
+    ):
+        ini = tmp_path / "incomplete.ini"
+        ini.write_text(TINY.replace(cut, put))
+        rc = main(["compare", "--scenario", str(ini), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("semikin: bad scenario file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["compare"], ["compare", "--bogus"], ["kinetics", "--seed", "3"]],
+        ids=["no-command", "no-scenario", "unknown-flag", "seed-on-a-scenario-command"],
+    )
+    def test_usage_error_is_a_configuration_error(self, argv, tiny_ini, tmp_path, capsys):
+        if argv[1:]:
+            argv = argv + ["--scenario", str(tiny_ini), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("semikin: ") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--help"])
+        assert exit_info.value.code == 0
+        assert "--scenario" in capsys.readouterr().out
+
     def test_malformed_override(self, tiny_ini, tmp_path, capsys):
         rc = main(["compare", "--scenario", str(tiny_ini), "--override", "nodot", "--out", str(tmp_path)])
         assert rc == 1
@@ -202,6 +238,16 @@ class TestArtifacts:
         rates, energies, hbar = load_rate_matrix(outdir / "rates")
         assert rates.size == 15 and rates.eta == 0.2 and hbar == 1.0
         assert energies.size == 15
+
+    def test_manybody_check_seed_moves_the_probe_points(self, tmp_path, capsys):
+        assert main(["manybody-check", "--out", str(tmp_path / "a")]) == 0
+        assert main(["manybody-check", "--seed", "0", "--out", str(tmp_path / "b")]) == 0
+        assert main(["manybody-check", "--seed", "3", "--out", str(tmp_path / "c")]) == 0
+        tables = [
+            (tmp_path / name / "manybody-check" / "residuals.csv").read_bytes()
+            for name in "abc"
+        ]
+        assert tables[0] == tables[1] != tables[2]
 
     def test_manybody_check_residual_table(self, tmp_path, capsys):
         assert main(["manybody-check", "--out", str(tmp_path)]) == 0

@@ -60,7 +60,7 @@ class TestPlaneWaveExtraction:
             grid=fine_grid, values=amp * np.exp(1j * p0 * fine_grid.x), time=0.0
         )
         grid = PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=p0)
-        a = extract_envelope(psi, grid, warn_scales=False).values
+        a = extract_envelope(psi, grid).values
         jc = int(np.argmin(np.abs(grid.p_centers - p0)))
         assert np.max(np.abs(a[:, jc] - amp)) < 1e-12
         off = np.delete(a, jc, axis=1)
@@ -76,9 +76,9 @@ class TestPlaneWaveExtraction:
             time=0.0,
         )
         grid = PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=p0)
-        a0 = extract_envelope(psi, grid, warn_scales=False).values
+        a0 = extract_envelope(psi, grid).values
         later = evolve(psi, FreePotential(), dt=0.1, steps=50)
-        a1 = extract_envelope(later, grid, warn_scales=False).values
+        a1 = extract_envelope(later, grid).values
         assert np.max(np.abs(a1 - a0)) < 1e-10
 
 
@@ -88,7 +88,7 @@ class TestQuadratureOracle:
         # the projection itself is a per-cell sum, so it matches the
         # continuous integral only to O(dx·|A'|) — worst on the packet
         # flanks, ~4e-4 here for σ = 48 and dx = 1
-        field = extract_envelope(packet, coarse, warn_scales=False)
+        field = extract_envelope(packet, coarse)
         jc = int(np.argmin(np.abs(coarse.p_centers - 1.0)))
         for i in (60, 62, 64, 66):
             x0 = coarse.x_centers[i] - coarse.window_width / 2.0
@@ -119,8 +119,8 @@ class TestTranslationCovariance:
         shifted = WaveFunction(
             grid=fine_grid, values=np.roll(packet.values, 16), time=0.0
         )
-        a = extract_envelope(packet, coarse, warn_scales=False).values
-        b = extract_envelope(shifted, coarse, warn_scales=False).values
+        a = extract_envelope(packet, coarse).values
+        b = extract_envelope(shifted, coarse).values
         # |A| translates by exactly one coarse cell
         assert np.max(np.abs(np.abs(b) - np.roll(np.abs(a), 1, axis=0))) < 1e-14
         # the complex field picks up the carrier phase across the window
@@ -217,12 +217,12 @@ class TestScaleGates:
         assert not report.satisfied
         assert report.carrier_ratio > 0.25
 
-    def test_extraction_warns_but_computes(self, constants):
+    def test_extraction_computes_on_a_failing_packet(self, constants):
         grid = SpatialGrid(x_min=0.0, dx=1.0, n=1024)
         coarse = PhaseSpaceGrid.from_spatial(grid, constants, window_cells=16, p_center=1.0)
         psi = init_gaussian_packet(grid, 512.0, 1.0, sigma=40.0)
-        with pytest.warns(UserWarning, match="scale separation"):
-            field = extract_envelope(psi, coarse)
+        assert not scale_check(psi, coarse).satisfied
+        field = extract_envelope(psi, coarse)
         assert np.all(np.isfinite(field.values))
 
 

@@ -5,6 +5,7 @@ wall clock, so saving the same object twice must reproduce the bytes
 exactly; loaders must round-trip what the writers emit.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,52 @@ class TestReportWriters:
 # --------------------------------------------------------------------------
 
 
+def _table_keys() -> set:
+    """(section, kind, key) for every key of the loader's table; kind is
+    None for sections without kinds."""
+    keys = {(s, None, k) for s, table in artifacts._SCHEMA.items() for k in table}
+    for s, kinds in artifacts._KINDS.items():
+        keys |= {(s, kind, k) for kind, (_, table) in kinds.items() for k in ("kind", *table)}
+    return keys
+
+
+#: for each (section, key) of the loader's table: a bundled scenario, the
+#: overrides that set the key to a value it does not hold there (plus any
+#: key the new value needs), and the error expected when the only valid
+#: value is the one the scenario already has
+_KEY_CASES = {
+    ("scenario", "name"): ("free_packet.ini", {"scenario.name": "renamed"}, None),
+    ("scenario", "periodic_x"): ("free_packet.ini", {"scenario.periodic_x": "true"}, None),
+    ("constants", "hbar"): ("free_packet.ini", {"constants.hbar": "2.0"}, None),
+    ("constants", "mass"): ("free_packet.ini", {"constants.mass": "2.0"}, None),
+    ("constants", "charge"): ("free_packet.ini", {"constants.charge": "2.0"}, None),
+    ("grid", "x_min"): ("free_packet.ini", {"grid.x_min": "-16.0"}, None),
+    ("grid", "dx"): ("free_packet.ini", {"grid.dx": "0.5"}, None),
+    ("grid", "n_x"): ("free_packet.ini", {"grid.n_x": "2048"}, None),
+    ("grid", "window_cells"): ("free_packet.ini", {"grid.window_cells": "32"}, None),
+    ("grid", "n_p"): ("free_packet.ini", {"grid.n_p": "8"}, None),
+    ("grid", "p_center"): ("free_packet.ini", {"grid.p_center": "0.5"}, None),
+    ("packet", "x_center"): ("free_packet.ini", {"packet.x_center": "700.0"}, None),
+    ("packet", "p_center"): ("free_packet.ini", {"packet.p_center": "1.5"}, None),
+    ("packet", "sigma"): ("free_packet.ini", {"packet.sigma": "40.0"}, None),
+    ("packet", "weight"): ("free_packet.ini", {"packet.weight": "2.0"}, None),
+    ("potential", "kind"): (
+        "free_packet.ini", {"potential.kind": "harmonic", "potential.k": "1e-3"}, None
+    ),
+    ("potential", "force"): ("linear_ramp.ini", {"potential.force": "2e-4"}, None),
+    ("potential", "k"): ("harmonic_trap.ini", {"potential.k": "2e-3"}, None),
+    ("potential", "v0"): ("barrier_split.ini", {"potential.v0": "0.5"}, None),
+    ("potential", "x_b"): ("barrier_split.ini", {"potential.x_b": "2000.0"}, None),
+    ("potential", "width"): ("barrier_split.ini", {"potential.width": "8.0"}, None),
+    ("potential", "smooth"): ("barrier_split.ini", {"potential.smooth": "true"}, None),
+    ("rates", "kind"): ("relaxation.ini", {"rates.kind": "quadratic"}, "unknown rates kind"),
+    ("rates", "coupling"): ("relaxation.ini", {"rates.coupling": "0.07"}, None),
+    ("rates", "eta"): ("relaxation.ini", {"rates.eta": "0.3"}, None),
+    ("time", "dt"): ("free_packet.ini", {"time.dt": "0.2"}, None),
+    ("time", "samples"): ("free_packet.ini", {"time.samples": "512, 1024"}, None),
+}
+
+
 class TestLoadScenario:
     def test_free_packet_fields(self):
         s = artifacts.load_scenario(SCENARIO_DIR / "free_packet.ini")
@@ -246,10 +293,6 @@ class TestLoadScenario:
                 SCENARIO_DIR / "two_packet.ini", overrides={"DEFAULT.x": "1"}
             )
 
-    def test_seed_parameter_wins(self):
-        s = artifacts.load_scenario(SCENARIO_DIR / "free_packet.ini", seed=99)
-        assert s.seed == 99
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="scenario file not found"):
             artifacts.load_scenario(tmp_path / "no_such.ini")
@@ -267,7 +310,9 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"unknown section \[potentail\]"):
             artifacts.load_scenario(bad)
 
-    @pytest.mark.parametrize("dotted", ["grid.dxx", "potential.kk", "potential.v0"])
+    @pytest.mark.parametrize(
+        "dotted", ["grid.dxx", "potential.kk", "potential.v0", "scenario.seed"]
+    )
     def test_unknown_key_is_rejected(self, dotted):
         # potential.v0 is a key, but not one of the harmonic kind
         with pytest.raises(ScenarioError, match="unknown key"):
@@ -295,6 +340,51 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioError, match="bad scenario file"):
             artifacts.load_scenario(bad)
+
+    @pytest.mark.parametrize(
+        "missing, ini, cut",
+        [
+            ("'dx'", "free_packet.ini", r"^dx = .*\n"),
+            ("'dt'", "free_packet.ini", r"^\[time\][^\[]*"),
+            ("'sigma'", "free_packet.ini", r"^sigma = .*\n"),
+            ("'v0'", "barrier_split.ini", r"^v0 = .*\n"),
+        ],
+        ids=["grid.dx", "time", "packet.sigma", "potential.v0"],
+    )
+    def test_missing_required_input_is_rejected(self, missing, ini, cut, tmp_path):
+        text = (SCENARIO_DIR / ini).read_text()
+        bad = tmp_path / ini
+        bad.write_text(re.sub(cut, "", text, count=1, flags=re.M))
+        assert bad.read_text() != text
+        with pytest.raises(ScenarioError, match=f"bad scenario file .*{missing}"):
+            artifacts.load_scenario(bad)
+
+    @pytest.mark.parametrize("section, key", sorted({(s, k) for s, _, k in _table_keys()}))
+    def test_override_of_every_key_changes_the_scenario(self, section, key):
+        ini, overrides, rejected = _KEY_CASES[section, key]
+        assert f"{section}.{key}" in overrides
+        if rejected:
+            # the one valid value of this key is its default, so the key
+            # shows it is read by rejecting another value
+            with pytest.raises(ScenarioError, match=rejected):
+                artifacts.load_scenario(SCENARIO_DIR / ini, overrides=overrides)
+            return
+        base = artifacts.load_scenario(SCENARIO_DIR / ini)
+        changed = artifacts.load_scenario(SCENARIO_DIR / ini, overrides=overrides)
+        # the repr covers every field, the rate matrix values included
+        assert repr(changed) != repr(base)
+
+    def test_readme_key_table_matches_the_loader(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("The allowed keys per section are:\n\n", 1)[1].split("\n\n", 1)[0]
+        documented = set()
+        for row in table.splitlines()[2:]:
+            where, listed = row.strip("|").split("|")
+            section = re.search(r"`\[(\w+)\]`", where).group(1)
+            kind = re.search(r"`kind = (\w+)`", where)
+            for key in re.findall(r"`(\w+)`", listed):
+                documented.add((section, kind and kind.group(1), key))
+        assert documented == _table_keys()
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_every_bundled_scenario_parses(self, name):
