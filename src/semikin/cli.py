@@ -62,32 +62,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="semikin",
         description="quantum-to-classical phase-space kinetics workbench",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--out",
         help=f"output root (default: ${OUTPUT_ROOT_ENV} or ./semikin-out)",
     )
-    common.add_argument(
+    scenario_opts = argparse.ArgumentParser(add_help=False)
+    scenario_opts.add_argument("--scenario", required=True, help="scenario INI file")
+    scenario_opts.add_argument(
         "--force",
         action="store_true",
         help="run even when the scale separation check fails",
     )
-    common.add_argument(
+    scenario_opts.add_argument(
         "--dump-binary",
         action="store_true",
         dest="dump_binary",
         help="also write raw float64 dumps with JSON sidecars",
     )
-    common.add_argument(
+    scenario_opts.add_argument(
         "--override",
         action="append",
         default=[],
         metavar="KEY=VALUE",
         help="override a scenario value, e.g. time.dt=0.01 (repeatable)",
     )
-    scenario_arg = argparse.ArgumentParser(add_help=False)
-    scenario_arg.add_argument("--scenario", required=True, help="scenario INI file")
-
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "schrodinger": "run the wave solver and log packet observables",
@@ -98,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "barrier": "split a packet on a barrier and track the lobes",
     }
     for name in _SCENARIO_COMMANDS:
-        sub.add_parser(name, parents=[common, scenario_arg], help=helps[name])
+        sub.add_parser(name, parents=[output, scenario_opts], help=helps[name])
     check = sub.add_parser(
         "manybody-check",
-        parents=[common],
+        parents=[output],
         help="print the carrier-algebra residual table",
     )
     check.add_argument(
@@ -121,10 +120,10 @@ def _parse_overrides(pairs) -> dict[str, str]:
 
 
 def _output_dir(args) -> Path:
+    """`<root>/<command>`; the first artifact written creates it, so a
+    run that fails before writing leaves no empty directory behind."""
     root = Path(args.out) if args.out else Path(os.environ.get(OUTPUT_ROOT_ENV, "semikin-out"))
-    outdir = root / args.command
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    return root / args.command
 
 
 def _load(args) -> Scenario:

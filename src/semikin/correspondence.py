@@ -84,10 +84,12 @@ class Scenario:
     """A complete, self-consistent experiment description.
 
     Grid parameters mirror the constructors in `core`; `dt` is the
-    quantum solver step and the characteristic substep of the classical
-    branch.  The grids are built once at construction, so an
-    inconsistent scenario fails immediately with `ScenarioError`, and so
-    does one whose last sample lies more than 10⁷ steps of `dt` away.
+    quantum solver step and the Verlet substep of a classical flow with
+    no closed form (free evolution and closed-form flows take no steps,
+    but `dt` still passes their stability and step-count checks).  The
+    grids are built once at construction, so an inconsistent scenario
+    fails immediately with `ScenarioError`, and so does one whose last
+    sample lies more than 10⁷ steps of `dt` away.
     """
 
     name: str = "scenario"

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PhaseSpaceDensity, PhaseSpaceGrid
-from .schrodinger import PotentialSpec, WaveFunction
+from .schrodinger import PotentialSpec, WaveFunction, _momenta_fft
 
 __all__ = [
     "EnvelopeField",
@@ -209,7 +209,7 @@ def scale_check(psi: WaveFunction, grid: PhaseSpaceGrid) -> ScaleReport:
     """
     c = psi.constants
     spectral = np.abs(np.fft.fft(psi.values)) ** 2
-    p_fft = 2.0 * np.pi * c.hbar * np.fft.fftfreq(psi.grid.n, d=psi.grid.dx)
+    p_fft = _momenta_fft(psi.grid, c.hbar)
     total = float(np.sum(spectral))
     p_bar = float(np.sum(np.abs(p_fft) * spectral) / total) if total > 0 else 0.0
 

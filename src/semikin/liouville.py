@@ -3,12 +3,18 @@
 Densities obey ∂ρ/∂t = -(p/m)∂ρ/∂x + U'(x)∂ρ/∂p, i.e. they are constant
 along the trajectories of ẋ = p/m, ṗ = -U'(x).  The solver is
 semi-Lagrangian: every target cell center is traced *backwards* through
-the flow (velocity Verlet, symplectic and second order; exact for free
-and uniform-force motion) and the initial density is read off there with
-a single bilinear interpolation — no resampling noise, positivity
-preserved, measure conserved up to the interpolation bound.  Successive
-samples carry the backtrace feet forward (`liouville_samples`), so the
-Verlet work of a run grows with its last sample time.
+the flow and the initial density is read off there with a single
+bilinear interpolation — no resampling noise, positivity preserved,
+measure conserved up to the interpolation bound.  Which flow kernel
+runs follows from the potential:
+
+  free, linear, harmonic:  the potential's closed-form `flow`, exact in
+                           one call for any t (the feet of every sample
+                           are mapped straight from the node mesh);
+  any other smooth U:      velocity Verlet, symplectic and second order,
+                           in ⌈|t|/dt⌉ steps (successive samples carry
+                           the feet forward, so the Verlet work of a run
+                           grows with its last sample time).
 """
 
 from __future__ import annotations
@@ -75,18 +81,28 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, int(np.ceil(abs(t) / dt - 1e-12)))
 
 
-def flow_map(x, p, t: float, dt: float, hamiltonian: HamiltonianSpec):
-    """Velocity-Verlet flow (x, p) ↦ (X_t, P_t), elementwise over arrays.
+def _closed_form(hamiltonian: HamiltonianSpec):
+    """The potential's exact flow `flow(x, p, t, mass)`, or None."""
+    return getattr(hamiltonian.potential, "flow", None)
 
+
+def flow_map(x, p, t: float, dt: float, hamiltonian: HamiltonianSpec):
+    """Hamilton flow (x, p) ↦ (X_t, P_t), elementwise over arrays.
+
+    A potential with a closed-form `flow` is mapped exactly in one call;
+    any other takes ⌈|t|/dt⌉ velocity-Verlet steps that split t evenly.
     Negative `t` runs the reversed flow; `dt` is the (positive) bound on
-    the step magnitude, and the ⌈|t|/dt⌉ steps split t evenly.
+    the step magnitude, and it is checked on both paths.
     """
     if t == 0.0:
         return np.array(x, copy=True), np.array(p, copy=True)
     n = _step_count(t, dt)
-    step = t / n
     x = np.array(x, dtype=float, copy=True)
     p = np.array(p, dtype=float, copy=True)
+    exact = _closed_form(hamiltonian)
+    if exact is not None:
+        return exact(x, p, t, hamiltonian.mass)
+    step = t / n
     for _ in range(n):
         p = p - 0.5 * step * hamiltonian.grad_x(x)
         x = x + step * p / hamiltonian.mass
@@ -100,8 +116,8 @@ def flow_jacobian(
 ) -> float:
     """Determinant of the flow map's Jacobian by central differences.
 
-    Liouville's theorem makes this 1 for the exact flow; Verlet, being
-    symplectic, reproduces that to roundoff-plus-O(ε²).
+    Liouville's theorem makes this 1 for the exact flow; the closed forms
+    and Verlet, being symplectic, reproduce that to roundoff-plus-O(ε²).
     """
     if t == 0.0:
         return 1.0
@@ -187,31 +203,33 @@ def liouville_samples(
 ) -> Iterator[PhaseSpaceDensity]:
     """Yield ρ(tᵢ) = ρ₀(Φ₋ₜᵢ(z)) at every time of `times`, in order.
 
-    The backtrace feet of tᵢ are those of tᵢ₋₁ carried back over the
-    interval, Φ₋ₜᵢ = Φ₋₍ₜᵢ₋ₜᵢ₋₁₎ ∘ Φ₋ₜᵢ₋₁, so the Verlet work grows with
-    the last time, not with the sum of the times; ρ₀ itself is still
+    A closed-form flow maps the feet of every sample straight from the
+    node mesh in one call.  Under Verlet the backtrace feet of tᵢ are
+    those of tᵢ₋₁ carried back over the interval,
+    Φ₋ₜᵢ = Φ₋₍ₜᵢ₋ₜᵢ₋₁₎ ∘ Φ₋ₜᵢ₋₁, so the Verlet work grows with the last
+    time, not with the sum of the times.  Either way ρ₀ itself is
     interpolated exactly once per sample, so no interpolation diffusion
     builds up.  `dt` bounds the Verlet step of every interval (default:
     one step per interval).  When each interval is a whole number of
-    `dt`, the steps, and so the feet, are bit for bit those of one flow
-    from t = 0; otherwise only the step split differs, within the
-    O(dt²) Verlet bound.  A sample at t = 0 is ρ₀ itself.
+    `dt`, the Verlet steps, and so the feet, are bit for bit those of
+    one flow from t = 0; otherwise only the step split differs, within
+    the O(dt²) Verlet bound.  A sample at t = 0 is ρ₀ itself.
     """
     g = rho0.grid
-    feet_x, feet_p = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
-    t_prev = 0.0
+    nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
+    feet, t_prev = nodes, 0.0
+    from_nodes = _closed_form(hamiltonian) is not None
     for t in times:
         if t != t_prev:
-            delta = t - t_prev
-            feet_x, feet_p = flow_map(
-                feet_x, feet_p, -delta, abs(delta) if dt is None else dt, hamiltonian
-            )
+            start, delta = (nodes, t) if from_nodes else (feet, t - t_prev)
+            feet = flow_map(*start, -delta, abs(delta) if dt is None else dt, hamiltonian)
             t_prev = t
         if t == 0.0:
             # zero-length transport is the identity; skip the interpolation
             # so t = 0 samples reproduce the initial data exactly
             yield PhaseSpaceDensity(grid=g, values=rho0.values.copy(), time=rho0.time)
             continue
+        feet_x, feet_p = feet
         if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
             raise NumericalFailure("backtraced characteristics are not finite")
         fx = (feet_x - g.x_centers[0]) / g.window_width
@@ -243,12 +261,11 @@ def evolve_liouville(
 ) -> PhaseSpaceDensity:
     """Transport ρ₀ for time t: ρ(z, t) = ρ₀(Φ₋ₜ(z)).
 
-    `dt` bounds the Verlet step of the backtrace (default: one step,
-    which is exact for free and uniform-force flows); the density itself
-    is interpolated exactly once.  With `periodic_x` the spatial axis
-    wraps; otherwise both axes are open and a backtrace that exits the
-    grid while ρ₀ holds noticeable boundary mass raises
-    `NumericalFailure`.  This is the one-sample case of
+    `dt` bounds the Verlet step of a backtrace with no closed form
+    (default: one step); the density itself is interpolated exactly
+    once.  With `periodic_x` the spatial axis wraps; otherwise both axes
+    are open and a backtrace that exits the grid while ρ₀ holds
+    noticeable boundary mass raises `NumericalFailure`.  This is the one-sample case of
     `liouville_samples`.
     """
     return next(liouville_samples(rho0, hamiltonian, (t,), dt, periodic_x))

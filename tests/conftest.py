@@ -1,4 +1,7 @@
-"""Shared fixtures: natural units and small phase-space test grids."""
+"""Shared fixtures: natural units, small phase-space test grids, and a
+potential wrapper that forces the Verlet path of `flow_map`."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,3 +38,18 @@ def gaussian_blob(
     x, p = np.meshgrid(grid.x_centers, grid.p_centers, indexing="ij")
     values = np.exp(-((x - x0) ** 2 / (2 * sx**2) + (p - p0) ** 2 / (2 * sp**2)))
     return PhaseSpaceDensity(grid=grid, values=values)
+
+
+@dataclass(frozen=True)
+class VerletOnly:
+    """`inner` with its closed-form `flow` hidden, so `flow_map`
+    integrates it with velocity-Verlet steps."""
+
+    inner: object
+    is_smooth: bool = True
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def derivative(self, x):
+        return self.inner.derivative(x)

@@ -9,12 +9,16 @@ byte-level idempotence of repeated runs.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semikin
 from semikin.cli import OUTPUT_ROOT_ENV, main
 from semikin.io import load_rate_matrix
+
+SCENARIO_DIR = Path(semikin.__file__).parent / "scenarios"
 
 TINY = """\
 [scenario]
@@ -153,6 +157,23 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("semikin: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag", [["--force"], ["--dump-binary"], ["--override", "grid.dx=2"]]
+    )
+    def test_manybody_check_takes_only_out_and_seed(self, flag, tmp_path, capsys):
+        assert main(["manybody-check", *flag, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("semikin: unrecognized arguments") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, ini",
+        [("barrier", SCENARIO_DIR / "free_packet.ini"), ("compare", Path("no.ini"))],
+        ids=["fails-after-loading", "fails-to-load"],
+    )
+    def test_a_failed_run_leaves_no_output_directory(self, command, ini, tmp_path, capsys):
+        assert main([command, "--scenario", str(ini), "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / command).exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -8,6 +8,7 @@ t/t_disp with t_disp = 2mσ²/ħ, and scenarios are sampled well inside
 that horizon unless the test says otherwise.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,9 @@ from semikin.errors import ScenarioError
 from semikin.io import load_scenario
 from semikin.kinetics import evolve_boltzmann
 from semikin.liouville import _step_count
+from semikin.schrodinger import FreePotential
+
+from conftest import VerletOnly
 
 SCENARIO_DIR = Path(semikin.__file__).parent / "scenarios"
 
@@ -279,23 +283,28 @@ class TestIncrementalSamples:
             assert np.array_equal(f.values, direct.values)
 
     def test_verlet_work_grows_with_the_last_sample_time(self, monkeypatch):
-        steps = {"feet": 0, "center": 0}
+        # count the Verlet steps taken: each makes two U' calls, its half kicks
+        kicks = {"feet": 0, "center": 0}
+        grad_x = liouville.HamiltonianSpec.grad_x
 
-        def counted(stream, flow):
-            def wrapper(x, p, t, dt, hamiltonian):
-                if t != 0.0:
-                    steps[stream] += _step_count(t, dt)
-                return flow(x, p, t, dt, hamiltonian)
+        def counted(self, x):
+            kicks["feet" if np.ndim(x) == 2 else "center"] += 1
+            return grad_x(self, x)
 
-            return wrapper
+        def verlet_steps(potential):
+            kicks.update(feet=0, center=0)
+            run_correspondence(
+                dataclasses.replace(
+                    tiny_scenario(sample_times=(0.0, 4.0, 8.0, 16.0)), potential=potential
+                )
+            )
+            return kicks["feet"] // 2, kicks["center"] // 2
 
-        monkeypatch.setattr(liouville, "flow_map", counted("feet", liouville.flow_map))
-        monkeypatch.setattr(
-            correspondence, "flow_map", counted("center", correspondence.flow_map)
-        )
-        run_correspondence(tiny_scenario(sample_times=(0.0, 4.0, 8.0, 16.0)))
-        # ⌈16/0.1⌉ steps per stream, not ⌈4/0.1⌉ + ⌈8/0.1⌉ + ⌈16/0.1⌉ = 280
-        assert steps == {"feet": 160, "center": 160}
+        monkeypatch.setattr(liouville.HamiltonianSpec, "grad_x", counted)
+        # the closed form takes none; Verlet takes ⌈16/0.1⌉ steps per
+        # stream, not ⌈4/0.1⌉ + ⌈8/0.1⌉ + ⌈16/0.1⌉ = 280
+        assert verlet_steps(FreePotential()) == (0, 0)
+        assert verlet_steps(VerletOnly(FreePotential())) == (160, 160)
 
     def test_master_steps_grow_with_the_last_sample_time(self, monkeypatch):
         steps = []

@@ -1,12 +1,14 @@
 """Semi-Lagrangian transport along Hamilton characteristics.
 
-Every target cell is traced backwards with velocity Verlet and the
+Every target cell is traced backwards, by the potential's closed-form
+flow (free, linear, harmonic) or else by velocity Verlet, and the
 initial density is read there with one bilinear interpolation.  That
-makes free and uniform-force transport exact up to interpolation, keeps
-the density non-negative, and conserves the symplectic measure.  The
-tests check the characteristic integrator, the Jacobian, constancy of ρ
-along trajectories, boundary handling, and the exact separable-product
-reduction for more degrees of freedom.
+keeps the density non-negative and conserves the symplectic measure.
+The tests check both flow kernels and their agreement, the Jacobian,
+constancy of ρ along trajectories, boundary handling, and the exact
+separable-product reduction for more degrees of freedom.  `VERLET_TRAP`
+is the harmonic trap with its closed form hidden, so Verlet's own
+properties stay checked.
 """
 
 import numpy as np
@@ -29,11 +31,12 @@ from semikin.schrodinger import (
     LinearPotential,
 )
 
-from conftest import gaussian_blob, square_grid
+from conftest import VerletOnly, gaussian_blob, square_grid
 
 
 FREE = HamiltonianSpec(mass=1.0, potential=FreePotential())
 TRAP = HamiltonianSpec(mass=1.0, potential=HarmonicPotential(k=1.0))
+VERLET_TRAP = HamiltonianSpec(mass=1.0, potential=VerletOnly(HarmonicPotential(k=1.0)))
 
 
 class TestHamiltonianSpec:
@@ -66,20 +69,21 @@ class TestHamiltonFlow:
             assert p == 0.5
 
     def test_negative_time_reverses(self):
-        x, p = flow_map(0.0, 1.0, 2.0, 0.1, TRAP)
-        x0, p0 = flow_map(x, p, -2.0, 0.1, TRAP)
+        x, p = flow_map(0.0, 1.0, 2.0, 0.1, VERLET_TRAP)
+        x0, p0 = flow_map(x, p, -2.0, 0.1, VERLET_TRAP)
         assert x0 == pytest.approx(0.0, abs=1e-12)
         assert p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_harmonic_rotation_second_order(self):
         t = 1.3
-        x, p = flow_map(0.7, -0.2, t, t / 2048, TRAP)
+        x, p = flow_map(0.7, -0.2, t, t / 2048, VERLET_TRAP)
         x_exact = 0.7 * np.cos(t) - 0.2 * np.sin(t)
         p_exact = -0.2 * np.cos(t) - 0.7 * np.sin(t)
         assert x == pytest.approx(x_exact, abs=1e-7)
         assert p == pytest.approx(p_exact, abs=1e-7)
 
     def test_rejects_bad_steps(self):
+        # FREE takes the closed form, which checks the step bound too
         with pytest.raises(ValueError):
             flow_map(0.0, 0.0, 1.0, -0.1, FREE)
         with pytest.raises(ValueError, match="exceeds"):
@@ -89,13 +93,48 @@ class TestHamiltonFlow:
         # n Verlet steps over t are n single steps of t/n, bit for bit
         x, p = 1.1, 0.4
         for _ in range(90):
-            x, p = flow_map(x, p, 0.9 / 90, 0.9 / 90, TRAP)
-        assert flow_map(1.1, 0.4, 0.9, 0.01, TRAP) == (x, p)
+            x, p = flow_map(x, p, 0.9 / 90, 0.9 / 90, VERLET_TRAP)
+        assert flow_map(1.1, 0.4, 0.9, 0.01, VERLET_TRAP) == (x, p)
 
     def test_broadcasts_over_arrays(self):
         x, p = flow_map(np.zeros(5), np.arange(5.0), 2.0, 2.0, FREE)
         assert np.array_equal(x, 2.0 * np.arange(5.0))
         assert np.array_equal(p, np.arange(5.0))
+
+
+class TestClosedFormFlows:
+    """Each closed form against Verlet on the same potential."""
+
+    X0 = np.linspace(-3.0, 3.0, 7)
+    P0 = np.linspace(2.0, -2.0, 7)
+
+    @pytest.mark.parametrize(
+        "potential",
+        [FreePotential(), LinearPotential(force=0.3), HarmonicPotential(k=0.0)],
+        ids=["free", "linear", "flat-trap"],
+    )
+    def test_force_free_and_uniform_force_match_verlet_to_rounding(self, potential):
+        # Verlet is exact for a constant force, so only rounding separates them
+        for t in (1.3, -0.7):
+            xe, pe = flow_map(self.X0, self.P0, t, 0.01, HamiltonianSpec(1.5, potential))
+            xv, pv = flow_map(
+                self.X0, self.P0, t, 0.01, HamiltonianSpec(1.5, VerletOnly(potential))
+            )
+            assert np.max(np.abs(xe - xv)) <= 1e-12
+            assert np.max(np.abs(pe - pv)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1.0, -0.5], ids=["trap", "inverted"])
+    def test_harmonic_matches_verlet_to_second_order(self, k):
+        exact = HamiltonianSpec(1.5, HarmonicPotential(k=k))
+        stepped = HamiltonianSpec(1.5, VerletOnly(HarmonicPotential(k=k)))
+        for t in (1.3, -0.7):
+            xe, pe = flow_map(self.X0, self.P0, t, abs(t), exact)
+            errors = []
+            for dt in (abs(t) / 64, abs(t) / 128):
+                xv, pv = flow_map(self.X0, self.P0, t, dt, stepped)
+                errors.append(max(np.max(np.abs(xv - xe)), np.max(np.abs(pv - pe))))
+            assert errors[0] <= (t / 64) ** 2
+            assert 3.8 < errors[0] / errors[1] < 4.2, f"Verlet errors {errors} not O(dt²)"
 
 
 class TestFlowJacobian:
@@ -104,11 +143,12 @@ class TestFlowJacobian:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_measure_preserved(self, seed):
+        # Verlet's own symplecticity; criterion 3 checks the closed form
         rng = np.random.default_rng(seed)
         t = 1.3
         for _ in range(10):
             x0, p0 = rng.uniform(-3.0, 3.0, size=2)
-            j = flow_jacobian(x0, p0, t, TRAP, dt=t / 64)
+            j = flow_jacobian(x0, p0, t, VERLET_TRAP, dt=t / 64)
             assert abs(j - 1.0) < 1e-8, f"det J = {j} at ({x0:.3f}, {p0:.3f})"
 
 
@@ -235,8 +275,11 @@ class TestEvolveLiouville:
 class TestLiouvilleSamples:
     """Backtrace feet composed across samples: Φ₋ₜᵢ = Φ₋₍ₜᵢ₋ₜᵢ₋₁₎ ∘ Φ₋ₜᵢ₋₁."""
 
-    @pytest.mark.parametrize("hamiltonian", [TRAP, FREE], ids=["trap", "free"])
+    @pytest.mark.parametrize(
+        "hamiltonian", [TRAP, FREE, VERLET_TRAP], ids=["trap", "free", "verlet-trap"]
+    )
     def test_lattice_times_match_flows_from_zero_bitwise(self, hamiltonian, constants):
+        # a closed form maps every sample from the nodes; under Verlet
         # every interval is a whole number of dt, so each interval's
         # Verlet step is the one-flow step and the composed feet are the
         # one-flow feet bit for bit
@@ -257,8 +300,8 @@ class TestLiouvilleSamples:
         g = square_grid(64, 8.0, constants)
         rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
         times = (0.3, 0.7, 1.3)
-        for t, rho in zip(times, liouville_samples(rho0, TRAP, times, dt=dt)):
-            direct = evolve_liouville(rho0, TRAP, t, dt=dt)
+        for t, rho in zip(times, liouville_samples(rho0, VERLET_TRAP, times, dt=dt)):
+            direct = evolve_liouville(rho0, VERLET_TRAP, t, dt=dt)
             worst = float(np.max(np.abs(rho.values - direct.values)))
             assert worst < 0.25 * dt**2, f"t = {t}: composed feet differ by {worst}"
 

@@ -111,6 +111,24 @@ class TestClassicalMoments:
         assert expectation_p(out) == pytest.approx(0.5 * np.cos(omega * t), abs=1e-8)
 
 
+def test_free_evolution_is_the_stepped_kinetic_product(small_grid):
+    """U ≡ 0 takes one kinetic factor over steps·dt; the stepped product
+    of the same factors is the reference.  The stability budget still
+    applies to dt, although the exact factor would be fine without it."""
+    psi = init_gaussian_packet(small_grid, x_c=-50.0, p_c=0.5, sigma=12.0)
+    dt, steps = 0.1, 400
+    p = 2.0 * np.pi * np.fft.fftfreq(small_grid.n, d=small_grid.dx)
+    kinetic = np.exp(-0.5j * p**2 * dt)
+    stepped = psi.values
+    for _ in range(steps):
+        stepped = np.fft.ifft(kinetic * np.fft.fft(stepped))
+    out = evolve(psi, FreePotential(), dt, steps)
+    assert out.time == steps * dt
+    assert np.max(np.abs(out.values - stepped)) <= 1e-10
+    with pytest.raises(NumericalFailure, match="time step too large"):
+        evolve(psi, FreePotential(), dt=0.2, steps=200)
+
+
 def test_second_order_in_dt(small_grid):
     """Halving dt shrinks the step error by 4 (Richardson triplet)."""
     psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.5, sigma=16.0)
