@@ -45,8 +45,6 @@ from .schrodinger import energy, expectation_p, expectation_x
 
 OUTPUT_ROOT_ENV = "SEMIKIN_OUTPUT_ROOT"
 
-_SCENARIO_COMMANDS = ("schrodinger", "envelope", "liouville", "kinetics", "compare", "barrier")
-
 
 class _Parser(argparse.ArgumentParser):
     """Report usage errors as `ScenarioError`, so they exit 1 with one
@@ -88,16 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a scenario value, e.g. time.dt=0.01 (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "schrodinger": "run the wave solver and log packet observables",
-        "envelope": "project the wave onto coarse phase-space envelopes",
-        "liouville": "transport the initial envelope density classically",
-        "kinetics": "run the collisional transport and log its histories",
-        "compare": "run both pipelines and report their agreement",
-        "barrier": "split a packet on a barrier and track the lobes",
-    }
-    for name in _SCENARIO_COMMANDS:
-        sub.add_parser(name, parents=[output, scenario_opts], help=helps[name])
+    for name, (_, help_text) in _SCENARIO_COMMANDS.items():
+        sub.add_parser(name, parents=[output, scenario_opts], help=help_text)
     check = sub.add_parser(
         "manybody-check",
         parents=[output],
@@ -283,6 +273,17 @@ def _cmd_barrier(scenario: Scenario, outdir: Path, args) -> None:
     artifacts.save_correspondence_report(report, outdir)
 
 
+#: scenario command -> (handler, help), in `--help` order
+_SCENARIO_COMMANDS = {
+    "schrodinger": (_cmd_schrodinger, "run the wave solver and log packet observables"),
+    "envelope": (_cmd_envelope, "project the wave onto coarse phase-space envelopes"),
+    "liouville": (_cmd_liouville, "transport the initial envelope density classically"),
+    "kinetics": (_cmd_kinetics, "run the collisional transport and log its histories"),
+    "compare": (_cmd_compare, "run both pipelines and report their agreement"),
+    "barrier": (_cmd_barrier, "split a packet on a barrier and track the lobes"),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -290,16 +291,8 @@ def main(argv=None) -> int:
         if args.command == "manybody-check":
             _cmd_manybody(outdir, args)
             return 0
-        scenario = _load(args)
-        handler = {
-            "schrodinger": _cmd_schrodinger,
-            "envelope": _cmd_envelope,
-            "liouville": _cmd_liouville,
-            "kinetics": _cmd_kinetics,
-            "compare": _cmd_compare,
-            "barrier": _cmd_barrier,
-        }[args.command]
-        handler(scenario, outdir, args)
+        handler, _ = _SCENARIO_COMMANDS[args.command]
+        handler(_load(args), outdir, args)
         return 0
     except NumericalFailure as exc:
         print(f"semikin: numerical failure: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Grids, units and phase-space bookkeeping shared by every solver.
 
-The package works on three mutually consistent grids:
+The package works on two mutually consistent grids:
 
 * a uniform spatial grid  x_j = x_min + j·dx,  j = 0 … n-1,  with n a
-  power of two so spectral transforms stay exact,
-* its conjugate momentum grid  p_k = 2πħ k / L  (L = n·dx), the discrete
-  Fourier dual, and
+  power of two so spectral transforms stay exact (its discrete Fourier
+  dual, p_k = 2πħ k / L with L = n·dx, is built in FFT order by the
+  `schrodinger` module), and
 * a coarse phase-space grid of windows of width Δx (an integer number of
   spatial cells) times momentum cells of width 2Δp, with the default
   coarse-graining relation  Δx·Δp = πħ  so each cell covers one Planck
@@ -29,10 +29,8 @@ import numpy as np
 __all__ = [
     "PhysicalConstants",
     "SpatialGrid",
-    "MomentumGrid",
     "PhaseSpaceGrid",
     "PhaseSpaceDensity",
-    "conjugate_momentum_grid",
     "phase_space_mass",
     "l2_norm",
 ]
@@ -71,36 +69,9 @@ class SpatialGrid:
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
 
-    @property
-    def length(self) -> float:
-        return self.n * self.dx
-
     @cached_property
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
-
-
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Discrete Fourier dual of a :class:`SpatialGrid`.
-
-    `p` is stored in ascending order, p_k = 2πħ k / L for
-    k = -n/2 … n/2 - 1; the spacing 2πħ/L is exact by construction.
-    """
-
-    p: np.ndarray
-    spacing: float
-
-    @property
-    def n(self) -> int:
-        return self.p.size
-
-
-def conjugate_momentum_grid(grid: SpatialGrid, constants: PhysicalConstants) -> MomentumGrid:
-    """Momentum grid conjugate to `grid` under the FFT convention."""
-    spacing = 2.0 * np.pi * constants.hbar / grid.length
-    k = np.arange(-(grid.n // 2), grid.n // 2)
-    return MomentumGrid(p=spacing * k, spacing=spacing)
 
 
 @dataclass(frozen=True)

@@ -373,11 +373,10 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     """
     if len(scenario.sample_times) < 2:
         raise ScenarioError("barrier experiment needs a segmentation time plus samples")
-    _, pg, report_scale, _ = prepare(scenario, force)
-
     barrier_x = getattr(scenario.potential, "x_b", None)
     if barrier_x is None:
         raise ScenarioError("barrier experiment needs a potential with a barrier position x_b")
+    _, pg, report_scale, _ = prepare(scenario, force)
 
     dead = pg.p_halfwidth
     p_plus = pg.p_centers > dead

@@ -29,7 +29,6 @@ reads 1/Δx, and equals 1 when the window width is the unit of length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,10 +39,8 @@ __all__ = [
     "EnvelopeField",
     "ScaleReport",
     "chi_kernel",
-    "indicator_kernel",
     "extract_envelope",
     "envelope_density",
-    "smoothed_derivative",
     "scale_check",
 ]
 
@@ -108,20 +105,6 @@ def chi_kernel(p, p0: float, dxw: float, hbar: float = 1.0):
     return complex(out[0]) if scalar else out
 
 
-def indicator_kernel(p, p0: float, dp: float):
-    """Sharp-cell weight: 1 on [p₀ - Δp, p₀ + Δp), 0 outside.
-
-    The coarse-grid relation Δp·Δx = πħ makes this the idealized form of
-    `chi_kernel`; the upper boundary belongs to the next (lower-index
-    excluded) cell so cells partition momentum.
-    """
-    if dp <= 0.0:
-        raise ValueError("half-width must be positive")
-    delta = np.asarray(p, dtype=float) - p0
-    out = ((delta >= -dp) & (delta < dp)).astype(float)
-    return float(out) if out.ndim == 0 else out
-
-
 def _raw_extract(psi: WaveFunction, grid: PhaseSpaceGrid) -> np.ndarray:
     """Rectangle-rule windowed Fourier transform, (n_windows × n_p)."""
     sg = psi.grid
@@ -174,28 +157,6 @@ def envelope_density(field: EnvelopeField) -> PhaseSpaceDensity:
     return PhaseSpaceDensity(
         grid=field.grid, values=np.abs(field.values) ** 2, time=field.time
     )
-
-
-def smoothed_derivative(
-    f: Callable[[float], float],
-    p0: float,
-    dp: float,
-    domain: tuple[float, float] | None = None,
-) -> float:
-    """Two-point coarse-grid derivative (f(p₀+Δp) - f(p₀-Δp)) / 2Δp.
-
-    Exact for polynomials up to degree 2; this is the derivative a
-    sharp-cell coarse grid can actually resolve.
-    """
-    if dp <= 0.0:
-        raise ValueError("stencil width must be positive")
-    if domain is not None:
-        lo, hi = domain
-        if p0 - dp < lo or p0 + dp > hi:
-            raise ValueError(
-                f"stencil [{p0 - dp}, {p0 + dp}] outside sampled domain [{lo}, {hi}]"
-            )
-    return (f(p0 + dp) - f(p0 - dp)) / (2.0 * dp)
 
 
 def scale_check(psi: WaveFunction, grid: PhaseSpaceGrid) -> ScaleReport:

@@ -129,10 +129,6 @@ class Occupation:
         if np.min(rho) < 0.0:
             raise ValueError(f"occupation must be non-negative, min {rho.min():.3e}")
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 @dataclass(frozen=True)
 class FockEnsemble:

@@ -35,7 +35,6 @@ __all__ = [
     "flow_jacobian",
     "liouville_samples",
     "evolve_liouville",
-    "evolve_liouville_nd",
 ]
 
 logger = logging.getLogger(__name__)
@@ -63,14 +62,8 @@ class HamiltonianSpec:
                 " are not admissible"
             )
 
-    def value(self, x, p):
-        return np.asarray(p, dtype=float) ** 2 / (2.0 * self.mass) + self.potential.value(x)
-
     def grad_x(self, x):
         return self.potential.derivative(x)
-
-    def grad_p(self, p):
-        return np.asarray(p, dtype=float) / self.mass
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -270,30 +263,3 @@ def evolve_liouville(
     """
     return next(liouville_samples(rho0, hamiltonian, (t,), dt, periodic_x))
 
-
-def evolve_liouville_nd(
-    factors: Sequence[PhaseSpaceDensity],
-    hamiltonians: Sequence[HamiltonianSpec],
-    t: float,
-    dt: float | None = None,
-    periodic_x: bool = False,
-) -> list[PhaseSpaceDensity]:
-    """Evolve a separable N-dof density, one phase-space factor per axis.
-
-    The density is represented as the product Πᵢ ρᵢ(xᵢ, pᵢ) and the
-    Hamiltonian as the sum Σᵢ Hᵢ, so transport factorizes exactly; each
-    factor is evolved independently and the product representation is
-    returned.  Mismatched factor/Hamiltonian counts or more than three
-    degrees of freedom are rejected.
-    """
-    if len(factors) != len(hamiltonians):
-        raise ValueError(
-            f"{len(factors)} density factors but {len(hamiltonians)} Hamiltonians:"
-            " the problem is not separable"
-        )
-    if not 1 <= len(factors) <= 3:
-        raise ValueError(f"supported axis counts are 1..3, got {len(factors)}")
-    return [
-        evolve_liouville(rho, h, t, dt=dt, periodic_x=periodic_x)
-        for rho, h in zip(factors, hamiltonians)
-    ]

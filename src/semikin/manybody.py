@@ -82,16 +82,14 @@ class EnvelopeFunctionND:
     """Closed-form test amplitude A(x₁..x_n) with optional analytic gradient.
 
     The `symmetric` flag asserts ∂A/∂x_l is independent of l (true for
-    any function of x₁+…+x_n); it is a *claim*, checkable after the
-    fact via `symmetry_defect`, not enforced at construction.
+    any function of x₁+…+x_n); it is a *claim*, not enforced at
+    construction: a falsely flagged envelope shows up as an O(1)
+    residual of `kinetic_cross_term_check`.
     """
 
     func: Callable[[np.ndarray], complex]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     symmetric: bool = False
-
-    def value(self, xs) -> complex:
-        return complex(self.func(np.asarray(xs, dtype=float)))
 
     def gradient(self, xs, h: float = 1e-5) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -103,14 +101,6 @@ class EnvelopeFunctionND:
             step[l] = h
             out[l] = (self.func(xs + step) - self.func(xs - step)) / (2.0 * h)
         return out
-
-    def symmetry_defect(self, xs, h: float = 1e-5) -> float:
-        """Max pairwise gradient spread, relative to the gradient size."""
-        g = self.gradient(xs, h)
-        scale = float(np.max(np.abs(g)))
-        if scale == 0.0:
-            return 0.0
-        return float((np.max(g.real) - np.min(g.real)) + (np.max(g.imag) - np.min(g.imag))) / scale
 
 
 def _permanent(matrix: np.ndarray) -> complex:

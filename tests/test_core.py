@@ -12,12 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semikin.core import (
-    MomentumGrid,
     PhaseSpaceDensity,
     PhaseSpaceGrid,
     PhysicalConstants,
     SpatialGrid,
-    conjugate_momentum_grid,
     l2_norm,
     phase_space_mass,
 )
@@ -39,8 +37,8 @@ class TestPhysicalConstants:
 class TestSpatialGrid:
     def test_points_and_length(self):
         g = SpatialGrid(x_min=-4.0, dx=0.5, n=16)
-        assert g.length == 8.0
         assert np.array_equal(g.x, -4.0 + 0.5 * np.arange(16))
+        assert g.x[-1] + g.dx - g.x[0] == 8.0  # the periodic length n·dx
 
     @pytest.mark.parametrize("n", [7, 12, 100, 0])
     def test_rejects_non_power_of_two(self, n):
@@ -50,29 +48,6 @@ class TestSpatialGrid:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             SpatialGrid(x_min=0.0, dx=-1.0, n=16)
-
-
-class TestConjugateMomentumGrid:
-    def test_fourier_dual_spacing(self, constants):
-        g = SpatialGrid(x_min=0.0, dx=0.25, n=64)
-        mg = conjugate_momentum_grid(g, constants)
-        assert isinstance(mg, MomentumGrid)
-        assert mg.spacing == pytest.approx(2 * np.pi / g.length, rel=1e-15)
-        assert mg.n == 64
-
-    def test_ascending_and_centered(self, constants):
-        mg = conjugate_momentum_grid(SpatialGrid(x_min=0.0, dx=1.0, n=32), constants)
-        assert np.all(np.diff(mg.p) > 0)
-        # k runs -n/2 .. n/2-1, so the grid contains zero and is
-        # one cell heavier on the negative side
-        assert mg.p[16] == 0.0
-        assert mg.p[0] == -mg.spacing * 16
-
-    def test_hbar_scales_spacing(self):
-        g = SpatialGrid(x_min=0.0, dx=1.0, n=16)
-        a = conjugate_momentum_grid(g, PhysicalConstants(hbar=1.0))
-        b = conjugate_momentum_grid(g, PhysicalConstants(hbar=0.5))
-        assert b.spacing == pytest.approx(0.5 * a.spacing, rel=1e-15)
 
 
 class TestPhaseSpaceGrid:

@@ -204,6 +204,22 @@ class TestBarrierSplit:
         with pytest.raises(ScenarioError, match="barrier position"):
             barrier_split_experiment(tiny_scenario())
 
+    def test_a_missing_barrier_fails_before_the_prelude(self, monkeypatch):
+        # ψ₀, the scale check and the envelope extraction are wasted work
+        # when the potential has no x_b; every barrier-free bundled
+        # scenario must fail on x_b without reaching `prepare`
+        def refuse(*args, **kwargs):
+            raise AssertionError("prepare ran before the barrier check")
+
+        monkeypatch.setattr(correspondence, "prepare", refuse)
+        free_of_barriers = sorted(
+            path for path in SCENARIO_DIR.glob("*.ini") if path.stem != "barrier_split"
+        )
+        assert len(free_of_barriers) == 8
+        for path in free_of_barriers:
+            with pytest.raises(ScenarioError, match="barrier position x_b"):
+                barrier_split_experiment(load_scenario(path))
+
     def test_transparent_barrier_transmits_everything(self):
         scenario = load_scenario(
             SCENARIO_DIR / "barrier_split.ini", overrides={"potential.v0": "0.0"}

@@ -21,9 +21,7 @@ from semikin.envelope import (
     chi_kernel,
     envelope_density,
     extract_envelope,
-    indicator_kernel,
     scale_check,
-    smoothed_derivative,
 )
 from semikin.schrodinger import (
     FreePotential,
@@ -156,36 +154,6 @@ class TestChiKernel:
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
             chi_kernel(1.0, 1.0, dxw=0.0)
-
-
-class TestIndicatorKernel:
-    def test_half_open_cell(self):
-        # dp = 0.25 keeps both edges exact in binary so the edge probes
-        # actually sit on the edges
-        assert indicator_kernel(0.9, 1.0, dp=0.25) == 1.0
-        assert indicator_kernel(0.75, 1.0, dp=0.25) == 1.0  # lower edge included
-        assert indicator_kernel(1.25, 1.0, dp=0.25) == 0.0  # upper edge excluded
-        assert indicator_kernel(1.5, 1.0, dp=0.25) == 0.0
-
-    def test_vectorized(self):
-        out = indicator_kernel(np.array([0.0, 1.0, 2.0]), 1.0, dp=0.5)
-        assert np.array_equal(out, [0.0, 1.0, 0.0])
-
-    def test_rejects_bad_halfwidth(self):
-        with pytest.raises(ValueError):
-            indicator_kernel(1.0, 1.0, dp=-0.1)
-
-
-class TestSmoothedDerivative:
-    def test_exact_for_quadratics(self):
-        f = lambda p: 3.0 * p**2 - 2.0 * p + 0.7
-        assert smoothed_derivative(f, 0.4, dp=0.25) == pytest.approx(
-            6.0 * 0.4 - 2.0, rel=1e-13
-        )
-
-    def test_domain_guard(self):
-        with pytest.raises(ValueError, match="outside"):
-            smoothed_derivative(np.cos, 0.9, dp=0.2, domain=(0.0, 1.0))
 
 
 class TestScaleGates:

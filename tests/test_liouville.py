@@ -5,8 +5,7 @@ flow (free, linear, harmonic) or else by velocity Verlet, and the
 initial density is read there with one bilinear interpolation.  That
 keeps the density non-negative and conserves the symplectic measure.
 The tests check both flow kernels and their agreement, the Jacobian,
-constancy of ρ along trajectories, boundary handling, and the exact
-separable-product reduction for more degrees of freedom.  `VERLET_TRAP`
+constancy of ρ along trajectories and boundary handling.  `VERLET_TRAP`
 is the harmonic trap with its closed form hidden, so Verlet's own
 properties stay checked.
 """
@@ -19,7 +18,6 @@ from semikin.errors import NumericalFailure
 from semikin.liouville import (
     HamiltonianSpec,
     evolve_liouville,
-    evolve_liouville_nd,
     flow_jacobian,
     flow_map,
     liouville_samples,
@@ -57,8 +55,6 @@ class TestHamiltonianSpec:
     def test_gradients(self):
         h = HamiltonianSpec(mass=2.0, potential=LinearPotential(force=3.0))
         assert h.grad_x(5.0) == 3.0
-        assert h.grad_p(4.0) == 2.0
-        assert h.value(1.0, 4.0) == pytest.approx(4.0 + 3.0, rel=1e-15)
 
 
 class TestHamiltonFlow:
@@ -311,47 +307,3 @@ class TestLiouvilleSamples:
         back, home = liouville_samples(rho0, TRAP, (-0.5, 0.0), dt=0.05)
         assert np.array_equal(back.values, evolve_liouville(rho0, TRAP, -0.5, dt=0.05).values)
         assert np.array_equal(home.values, rho0.values)
-
-
-class TestSeparableTransport:
-    def test_factor_counts_must_match(self, constants):
-        g = square_grid(16, 4.0, constants)
-        rho = gaussian_blob(g, 0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="separable"):
-            evolve_liouville_nd([rho, rho], [FREE], 0.1)
-
-    def test_axis_count_capped(self, constants):
-        g = square_grid(16, 4.0, constants)
-        rho = gaussian_blob(g, 0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="1..3"):
-            evolve_liouville_nd([rho] * 4, [FREE] * 4, 0.1)
-
-    def test_factors_evolve_independently(self, constants):
-        g = square_grid(32, 6.0, constants)
-        rho_a = gaussian_blob(g, 1.0, 0.0, 1.0, 0.8)
-        rho_b = gaussian_blob(g, -1.0, 0.5, 0.9, 0.7)
-        outs = evolve_liouville_nd([rho_a, rho_b], [TRAP, FREE], 0.4, dt=0.05)
-        direct_a = evolve_liouville(rho_a, TRAP, 0.4, dt=0.05)
-        direct_b = evolve_liouville(rho_b, FREE, 0.4, dt=0.05)
-        assert np.array_equal(outs[0].values, direct_a.values)
-        assert np.array_equal(outs[1].values, direct_b.values)
-
-    def test_product_recurrence_in_a_two_axis_trap(self, constants):
-        """After one trap period the assembled 4-D product returns home."""
-        g = square_grid(64, 8.0, constants)
-        factors = [
-            gaussian_blob(g, 1.5, 0.0, 1.0, 1.0),
-            gaussian_blob(g, 1.5, 0.0, 1.0, 1.0),
-        ]
-        period = 2 * np.pi
-        outs = evolve_liouville_nd(factors, [TRAP, TRAP], period, dt=period / 2048)
-        w = g.cell_area / (2 * np.pi)
-        for rho0, rho1 in zip(factors, outs):
-            per_axis = float(np.sum(np.abs(rho1.values - rho0.values)) * w)
-            per_axis /= phase_space_mass(rho0)
-            assert per_axis < 0.01, f"per-axis recurrence error {per_axis}"
-        product0 = np.einsum("ij,kl->ijkl", factors[0].values, factors[1].values)
-        product1 = np.einsum("ij,kl->ijkl", outs[0].values, outs[1].values)
-        l1 = float(np.sum(np.abs(product1 - product0)) * w**2)
-        l1 /= float(np.sum(product0) * w**2)
-        assert l1 < 0.04, f"assembled product recurrence error {l1}"

@@ -1,0 +1,63 @@
+"""One list of public names per module, and nothing at the package root.
+
+Each `semikin.<module>` names its public classes and functions in
+`__all__`, and callers import them from there.  The package root holds
+only `__version__`, so `import semikin` costs no solver module and no
+scipy; `cli` and `__main__` are entry points, not libraries.
+"""
+
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import semikin
+
+MODULES = sorted(
+    name
+    for _, name, _ in pkgutil.iter_modules(semikin.__path__)
+    if name not in ("cli", "__main__")
+)
+
+
+def test_the_library_modules_are_found():
+    assert {"core", "errors", "schrodinger", "liouville", "io"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_is_the_list_of_public_names(name):
+    module = importlib.import_module(f"semikin.{name}")
+    assert isinstance(getattr(module, "__all__", None), list), f"{name} has no __all__"
+    listed = module.__all__
+    assert len(set(listed)) == len(listed), f"{name}.__all__ repeats a name"
+    unresolved = [attr for attr in listed if not hasattr(module, attr)]
+    assert not unresolved, f"{name}.__all__ names missing attributes {unresolved}"
+    defined = {
+        attr
+        for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == module.__name__
+    }
+    assert defined <= set(listed), f"{name} defines unlisted {sorted(defined - set(listed))}"
+
+
+def test_the_package_root_loads_nothing():
+    probe = (
+        "import sys, semikin\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith('semikin.') or m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded)\n"
+        "print(sorted(n for n in vars(semikin) if not n.startswith('__')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(semikin.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]

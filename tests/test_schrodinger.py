@@ -11,7 +11,7 @@ order, and the stability guard.
 import numpy as np
 import pytest
 
-from semikin.core import SpatialGrid, l2_norm
+from semikin.core import PhysicalConstants, SpatialGrid, l2_norm
 from semikin.errors import NumericalFailure
 from semikin.schrodinger import (
     FreePotential,
@@ -39,6 +39,17 @@ class TestGaussianPacket:
         assert l2_norm(psi) == pytest.approx(1.0, abs=1e-13)
         assert expectation_x(psi) == pytest.approx(-20.0, abs=1e-10)
         assert expectation_p(psi) == pytest.approx(0.5, abs=1e-12)
+
+    def test_momentum_rule_scales_with_hbar(self, small_grid):
+        # the FFT momenta are 2πħ·k/L: with ħ = 1/2 the carrier e^{ip_c x/ħ}
+        # must still read ⟨p⟩ = p_c, and the minimal-uncertainty spread
+        # ħ/2σ adds ħ²/8mσ² to the kinetic energy
+        hbar, p_c, sigma = 0.5, 0.5, 16.0
+        c = PhysicalConstants(hbar=hbar)
+        psi = init_gaussian_packet(small_grid, x_c=-20.0, p_c=p_c, sigma=sigma, constants=c)
+        assert expectation_p(psi) == pytest.approx(p_c, abs=1e-12)
+        expected = p_c**2 / 2.0 + hbar**2 / (8.0 * sigma**2)
+        assert energy(psi, FreePotential()) == pytest.approx(expected, rel=1e-12)
 
     def test_plane_wave_energy_is_kinetic(self):
         # single on-grid Fourier mode: the spectral kinetic term is exact
