@@ -12,9 +12,11 @@ gain–loss master equation ρ̇_k = Σ_l Q_lk ρ_l conserves probability and,
 for symmetric rates, increases −Σρlnρ monotonically.
 
 `evolve_boltzmann` assembles the full transport: free streaming in
-phase space (Strang half-steps of the Liouville engine) interleaved
-with the momentum-space master relaxation applied independently at
-every spatial cell.
+phase space (Strang half-steps of the Liouville engine, all served by
+one `liouville.TransportStencil` per call) interleaved with the
+momentum-space master relaxation applied independently at every
+spatial cell.  scipy's `expm` is imported by the two propagators that
+call it, so loading this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import PhaseSpaceDensity, PhysicalConstants
-from .liouville import HamiltonianSpec, _step_count, evolve_liouville
+from .liouville import HamiltonianSpec, TransportStencil, _step_count, evolve_liouville
 
 __all__ = [
     "StateSpace",
@@ -241,6 +242,8 @@ def evolve_master(
         method = "exponential" if rates.size <= _EXPM_STATE_LIMIT else "stepper"
     qt = rates.values.T
     if method == "exponential":
+        from scipy.linalg import expm
+
         out = expm(qt * t) @ rho0.values
     elif method == "stepper":
         out = _uniformized_step(qt, rho0.values.copy(), t)
@@ -342,10 +345,14 @@ def evolve_boltzmann(
 
     Each step of length dt applies a half-step of Liouville transport,
     a full master-equation step column-wise in momentum at every
-    spatial cell, and another transport half-step.  With no rates
-    (None or all-zero) the call degenerates to a single
-    `evolve_liouville` over the whole interval — identically, not
-    approximately.
+    spatial cell, and another transport half-step.  Every half-step
+    moves by the same step/2 on the same grid, so one backtrace of the
+    node mesh (one Verlet step where there is no closed form) builds one
+    `TransportStencil` that serves them all, bit for bit what a fresh
+    `evolve_liouville` per half-step gives, leak check and validation
+    included.  With no rates (None or all-zero) the call degenerates to
+    a single `evolve_liouville` over the whole interval — identically,
+    not approximately.
     """
     if t < 0.0:
         raise ValueError("collisional evolution runs forward only")
@@ -355,16 +362,19 @@ def evolve_boltzmann(
         raise ValueError("rate matrix must live on the density's momentum cells")
     if t == 0.0:
         return f0
+    from scipy.linalg import expm
+
     steps = _step_count(t, t if dt is None else dt)
     step = t / steps
     # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
     hop = expm(rates.values * step)
+    half = TransportStencil.backtrace(f0.grid, hamiltonian, 0.5 * step, periodic_x=periodic_x)
     f = f0
     for _ in range(steps):
-        f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
+        f = half(f)
         mixed = np.maximum(f.values @ hop, 0.0)
         f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
-        f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
+        f = half(f)
     return f
 
 

@@ -5,8 +5,11 @@ along the trajectories of ẋ = p/m, ṗ = -U'(x).  The solver is
 semi-Lagrangian: every target cell center is traced *backwards* through
 the flow and the initial density is read off there with a single
 bilinear interpolation — no resampling noise, positivity preserved,
-measure conserved up to the interpolation bound.  Which flow kernel
-runs follows from the potential:
+measure conserved up to the interpolation bound.  The interpolation is
+a `TransportStencil`: gather indices and weights built once from the
+feet, so densities that all move by the same interval (the Strang
+half-steps of `kinetics.evolve_boltzmann`) share one backtrace and one
+stencil.  Which flow kernel runs follows from the potential:
 
   free, linear, harmonic:  the potential's closed-form `flow`, exact in
                            one call for any t (the feet of every sample
@@ -25,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import PhaseSpaceDensity, phase_space_mass
+from .core import PhaseSpaceDensity, PhaseSpaceGrid, phase_space_mass
 from .errors import NumericalFailure
 from .schrodinger import PotentialSpec
 
@@ -33,6 +36,7 @@ __all__ = [
     "HamiltonianSpec",
     "flow_map",
     "flow_jacobian",
+    "TransportStencil",
     "liouville_samples",
     "evolve_liouville",
 ]
@@ -128,6 +132,11 @@ def flow_jacobian(
     return float(dxdx * dpdp - dxdp * dpdx)
 
 
+def _nodes(grid: PhaseSpaceGrid):
+    """The node mesh: every (x₀, p₀) cell center, x along axis 0."""
+    return np.meshgrid(grid.x_centers, grid.p_centers, indexing="ij")
+
+
 def _axis_corners(frac, n: int, periodic: bool):
     """Lower/upper neighbour indices and upper weight for one axis.
 
@@ -141,50 +150,129 @@ def _axis_corners(frac, n: int, periodic: bool):
     return i0, i0 + 1, w
 
 
-def _bilinear(values: np.ndarray, fx, fp, periodic_x: bool):
-    nx, np_ = values.shape
+def _corners(fx, fp, shape, periodic_x: bool):
+    """(flat index, in-range mask, weight) of the four bilinear corners.
+
+    The corners come in `_gather`'s summation order, so a stencil read
+    has the bits of evaluating the bilinear formula in one expression.
+    """
+    nx, np_ = shape
     ax, bx, wx = _axis_corners(fx, nx, periodic_x)
     ap, bp, wp = _axis_corners(fp, np_, False)
-
-    def corner(ix, ip):
+    corners = []
+    for ix, ip, w in (
+        (ax, ap, (1.0 - wx) * (1.0 - wp)),
+        (bx, ap, wx * (1.0 - wp)),
+        (ax, bp, (1.0 - wx) * wp),
+        (bx, bp, wx * wp),
+    ):
         ok = (ip >= 0) & (ip < np_)
         if not periodic_x:
             ok &= (ix >= 0) & (ix < nx)
-        return np.where(ok, values[np.clip(ix, 0, nx - 1), np.clip(ip, 0, np_ - 1)], 0.0)
-
-    return (
-        (1.0 - wx) * (1.0 - wp) * corner(ax, ap)
-        + wx * (1.0 - wp) * corner(bx, ap)
-        + (1.0 - wx) * wp * corner(ax, bp)
-        + wx * wp * corner(bx, bp)
-    )
+        flat = np.clip(ix, 0, nx - 1) * np_ + np.clip(ip, 0, np_ - 1)
+        corners.append((flat, ok, w))
+    return tuple(corners)
 
 
-def _leaked_fraction(values: np.ndarray, fx, fp, periodic_x: bool) -> float:
+def _gather(corners, values: np.ndarray) -> np.ndarray:
+    """Bilinear read of `values` at the feet `corners` was built from."""
+    flat = values.ravel()
+    c00, c10, c01, c11 = (w * np.where(ok, flat.take(i), 0.0) for i, ok, w in corners)
+    return c00 + c10 + c01 + c11
+
+
+def _leaked_fraction(values: np.ndarray, penetration, edge) -> float:
     """Mass fraction a backtrace would pull from beyond the open boundary.
 
     Feet that exit the hull read ρ = 0; the data they *should* have read
     is estimated by ρ₀ at the hull-clipped foot, weighted by how deep
     the foot penetrates (in cells, capped at one).  Feet that merely
     graze the hull by rounding noise therefore contribute ~nothing.
+    `penetration` and the corners `edge` of the clipped feet depend only
+    on the feet; both are None when no foot leaves the grid.
     """
-    nx, np_ = values.shape
-    pen = np.maximum(np.maximum(-fp, fp - (np_ - 1)), 0.0)
-    if not periodic_x:
-        pen = pen + np.maximum(np.maximum(-fx, fx - (nx - 1)), 0.0)
-    pen = np.minimum(pen, 1.0)
-    if not np.any(pen > 0.0):
+    if penetration is None:
         return 0.0
     total = float(np.sum(values))
     if total <= 0.0:
         return 0.0
-    edge = _bilinear(
-        values,
-        np.clip(fx, 0.0, nx - 1.0),
-        np.clip(fp, 0.0, np_ - 1.0),
-        periodic_x,
-    )
-    return float(np.sum(pen * edge) / total)
+    return float(np.sum(penetration * _gather(edge, values)) / total)
+
+
+@dataclass(frozen=True)
+class TransportStencil:
+    """ρ ↦ ρ(Φ₋ₜ(z)) on one grid as a precomputed bilinear gather.
+
+    Built once from the backtrace feet of the node mesh, it holds the
+    four corners of every foot (`_corners`) and the feet-only part of
+    the leak check (`_leaked_fraction`'s penetration depth and clipped
+    corners).  Calling it on a density runs the mass-weighted part of
+    the leak check, then the gather, and validates the result, so any
+    number of densities moved by the same t on the same grid get the
+    checks and the bits of one fresh transport each.
+    """
+
+    grid: PhaseSpaceGrid
+    t: float
+    corners: tuple
+    penetration: np.ndarray | None
+    edge: tuple | None
+
+    @classmethod
+    def at_feet(
+        cls, grid: PhaseSpaceGrid, feet, t: float, periodic_x: bool = False
+    ) -> TransportStencil:
+        """The stencil reading ρ at `feet`, the nodes backtraced over t."""
+        feet_x, feet_p = feet
+        if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
+            raise NumericalFailure("backtraced characteristics are not finite")
+        nx, np_ = grid.shape
+        fx = (feet_x - grid.x_centers[0]) / grid.window_width
+        fp = (feet_p - grid.p_centers[0]) / grid.p_spacing
+        pen = np.maximum(np.maximum(-fp, fp - (np_ - 1)), 0.0)
+        if not periodic_x:
+            pen = pen + np.maximum(np.maximum(-fx, fx - (nx - 1)), 0.0)
+        pen = np.minimum(pen, 1.0)
+        corners = _corners(fx, fp, grid.shape, periodic_x)
+        if not np.any(pen > 0.0):
+            return cls(grid, t, corners, None, None)
+        edge = _corners(
+            np.clip(fx, 0.0, nx - 1.0), np.clip(fp, 0.0, np_ - 1.0), grid.shape, periodic_x
+        )
+        return cls(grid, t, corners, pen, edge)
+
+    @classmethod
+    def backtrace(
+        cls,
+        grid: PhaseSpaceGrid,
+        hamiltonian: HamiltonianSpec,
+        t: float,
+        dt: float | None = None,
+        periodic_x: bool = False,
+    ) -> TransportStencil:
+        """The stencil of one `flow_map` backtrace of the node mesh over t.
+
+        `dt` bounds the Verlet step as in `evolve_liouville` (default:
+        one step).
+        """
+        feet = flow_map(*_nodes(grid), -t, abs(t) if dt is None else dt, hamiltonian)
+        return cls.at_feet(grid, feet, t, periodic_x)
+
+    def __call__(self, rho: PhaseSpaceDensity) -> PhaseSpaceDensity:
+        """ρ transported over t, after the leak check on its mass."""
+        if rho.values.shape != self.grid.shape:
+            raise ValueError(
+                f"density shape {rho.values.shape} != stencil grid {self.grid.shape}"
+            )
+        leak = _leaked_fraction(rho.values, self.penetration, self.edge)
+        if leak > _BOUNDARY_MASS_TOL:
+            raise NumericalFailure(
+                f"backtrace leaves the grid across boundary cells holding"
+                f" {leak:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
+            )
+        return PhaseSpaceDensity(
+            grid=rho.grid, values=_gather(self.corners, rho.values), time=rho.time + self.t
+        )
 
 
 def liouville_samples(
@@ -209,9 +297,10 @@ def liouville_samples(
     the O(dt²) Verlet bound.  A sample at t = 0 is ρ₀ itself.
     """
     g = rho0.grid
-    nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
+    nodes = _nodes(g)
     feet, t_prev = nodes, 0.0
     from_nodes = _closed_form(hamiltonian) is not None
+    m0 = phase_space_mass(rho0)
     for t in times:
         if t != t_prev:
             start, delta = (nodes, t) if from_nodes else (feet, t - t_prev)
@@ -222,23 +311,7 @@ def liouville_samples(
             # so t = 0 samples reproduce the initial data exactly
             yield PhaseSpaceDensity(grid=g, values=rho0.values.copy(), time=rho0.time)
             continue
-        feet_x, feet_p = feet
-        if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
-            raise NumericalFailure("backtraced characteristics are not finite")
-        fx = (feet_x - g.x_centers[0]) / g.window_width
-        fp = (feet_p - g.p_centers[0]) / g.p_spacing
-
-        leak = _leaked_fraction(rho0.values, fx, fp, periodic_x)
-        if leak > _BOUNDARY_MASS_TOL:
-            raise NumericalFailure(
-                f"backtrace leaves the grid across boundary cells holding"
-                f" {leak:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
-            )
-
-        out = PhaseSpaceDensity(
-            grid=g, values=_bilinear(rho0.values, fx, fp, periodic_x), time=rho0.time + t
-        )
-        m0 = phase_space_mass(rho0)
+        out = TransportStencil.at_feet(g, feet, t, periodic_x)(rho0)
         if m0 > 0.0:
             drift = (phase_space_mass(out) - m0) / m0
             logger.debug("liouville mass drift over t=%g: %.3e", t, drift)

@@ -31,7 +31,6 @@ from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "CarrierState",
@@ -283,6 +282,8 @@ def windowed_orthogonality_check(
                 * np.exp(1j * q * x / hbar)
                 * math.exp(-((bump * x) ** 2) / (2.0 * hbar**2))
             )
+
+    from scipy.integrate import quad
 
     half = 0.5 * window
     re, _ = quad(lambda x: integrand(x).real, -half, half, limit=300, epsabs=1e-13)

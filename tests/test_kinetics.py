@@ -13,8 +13,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import semikin.liouville
 from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants
+from semikin.errors import NumericalFailure
 from semikin.kinetics import (
     FockEnsemble,
     InteractionMatrix,
@@ -30,11 +33,33 @@ from semikin.kinetics import (
     number_correlator,
 )
 from semikin.liouville import HamiltonianSpec, evolve_liouville
-from semikin.schrodinger import FreePotential
+from semikin.schrodinger import FreePotential, HarmonicPotential, LinearPotential
 
-from conftest import gaussian_blob, square_grid
+from conftest import VerletOnly, gaussian_blob, square_grid
 
 FREE = HamiltonianSpec(mass=1.0, potential=FreePotential())
+VERLET_TRAP = HamiltonianSpec(mass=1.0, potential=VerletOnly(HarmonicPotential(k=1.0)))
+RAMP = HamiltonianSpec(mass=1.0, potential=LinearPotential(force=0.2))
+
+
+def shell_rates(p_centers):
+    """Uniform coupling between momentum cells of nearby energy p²/2."""
+    v = np.full((p_centers.size,) * 2, 0.05, dtype=complex)
+    np.fill_diagonal(v, 0.0)
+    return fermi_rates(InteractionMatrix(v), StateSpace(p_centers**2 / 2.0), eta=0.2)
+
+
+def strang_reference(f0, hamiltonian, rates, t, steps, periodic_x):
+    """The Strang loop with a fresh `evolve_liouville` at every half-step."""
+    step = t / steps
+    hop = expm(rates.values * step)
+    f = f0
+    for _ in range(steps):
+        f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
+        mixed = np.maximum(f.values @ hop, 0.0)
+        f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
+        f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
+    return f
 
 
 def random_rates(rng, size, eta=1.0, energies=None):
@@ -365,3 +390,39 @@ class TestEvolveBoltzmann:
         out = evolve_boltzmann(rho0, FREE, rates, 4.0, dt=0.5, periodic_x=True)
         m0, m1 = phase_space_mass(rho0), phase_space_mass(out)
         assert abs(m1 - m0) / m0 < 1e-12
+
+    @pytest.mark.parametrize(
+        "hamiltonian, periodic_x",
+        [(FREE, True), (VERLET_TRAP, False), (RAMP, False)],
+        ids=["free-periodic", "verlet-trap-open", "ramp-open"],
+    )
+    def test_one_stencil_matches_a_fresh_transport_per_half_step(
+        self, hamiltonian, periodic_x, constants
+    ):
+        g = square_grid(32, 8.0, constants)
+        rho0 = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
+        rates = shell_rates(g.p_centers)
+        out = evolve_boltzmann(rho0, hamiltonian, rates, 1.0, dt=0.125, periodic_x=periodic_x)
+        reference = strang_reference(rho0, hamiltonian, rates, 1.0, 8, periodic_x)
+        assert out.time == reference.time
+        assert np.array_equal(out.values, reference.values)
+
+    def test_a_half_step_across_an_open_edge_raises(self, constants):
+        g = square_grid(32, 6.0, constants)
+        at_edge = gaussian_blob(g, -5.5, 1.0, 1.0, 0.8)  # drifts in from x = -6
+        with pytest.raises(NumericalFailure, match="boundary"):
+            evolve_boltzmann(at_edge, FREE, shell_rates(g.p_centers), 2.0, dt=0.25)
+
+    def test_one_backtrace_per_call(self, constants, monkeypatch):
+        calls = []
+        flow_map = semikin.liouville.flow_map
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return flow_map(*args, **kwargs)
+
+        monkeypatch.setattr(semikin.liouville, "flow_map", counted)
+        g = square_grid(32, 8.0, constants)
+        rho0 = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
+        evolve_boltzmann(rho0, VERLET_TRAP, shell_rates(g.p_centers), 1.0, dt=0.125)
+        assert calls == [-0.0625]

@@ -17,6 +17,7 @@ from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, phase_space_mass
 from semikin.errors import NumericalFailure
 from semikin.liouville import (
     HamiltonianSpec,
+    TransportStencil,
     evolve_liouville,
     flow_jacobian,
     flow_map,
@@ -266,6 +267,55 @@ class TestEvolveLiouville:
             out = evolve_liouville(rho, TRAP, 0.785, dt=0.785 / 64)
             results.append(out.values)
         assert np.array_equal(results[0], results[1])
+
+
+def bilinear(values, fx, fp, periodic_x):
+    """Bilinear read at fractional node coordinates, as one expression."""
+    nx, np_ = values.shape
+    i0, j0 = np.floor(fx).astype(int), np.floor(fp).astype(int)
+    wx, wp = fx - i0, fp - j0
+
+    def corner(i, j):
+        if periodic_x:
+            i = i % nx
+        ok = (i >= 0) & (i < nx) & (j >= 0) & (j < np_)
+        return np.where(ok, values[np.clip(i, 0, nx - 1), np.clip(j, 0, np_ - 1)], 0.0)
+
+    return (
+        (1.0 - wx) * (1.0 - wp) * corner(i0, j0)
+        + wx * (1.0 - wp) * corner(i0 + 1, j0)
+        + (1.0 - wx) * wp * corner(i0, j0 + 1)
+        + wx * wp * corner(i0 + 1, j0 + 1)
+    )
+
+
+class TestTransportStencil:
+    @pytest.mark.parametrize(
+        "hamiltonian, periodic_x", [(TRAP, False), (FREE, True)], ids=["trap-open", "free-periodic"]
+    )
+    def test_read_is_the_bilinear_formula_bitwise(self, hamiltonian, periodic_x, constants):
+        # corner feet of the rotated open grid leave it; the free feet
+        # wrap in x and graze the open p edges by rounding
+        g = square_grid(48, 8.0, constants)
+        rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
+        stencil = TransportStencil.backtrace(g, hamiltonian, 0.7, periodic_x=periodic_x)
+        assert stencil.penetration is not None
+        nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
+        feet_x, feet_p = flow_map(*nodes, -0.7, 0.7, hamiltonian)
+        fx = (feet_x - g.x_centers[0]) / g.window_width
+        fp = (feet_p - g.p_centers[0]) / g.p_spacing
+        out = stencil(rho0)
+        assert out.time == 0.7
+        assert np.array_equal(out.values, bilinear(rho0.values, fx, fp, periodic_x))
+
+    def test_checks_every_density_it_moves(self, constants):
+        g = square_grid(64, 8.0, constants)
+        stencil = TransportStencil.backtrace(g, TRAP, 0.9, dt=0.9 / 64)
+        stencil(gaussian_blob(g, 1.0, -0.5, 1.0, 0.8))
+        with pytest.raises(NumericalFailure, match="boundary"):
+            stencil(gaussian_blob(g, 2.0, 0.0, 1.2, 1.2))
+        with pytest.raises(ValueError, match="shape"):
+            stencil(gaussian_blob(square_grid(32, 8.0, constants), 1.0, -0.5, 1.0, 0.8))
 
 
 class TestLiouvilleSamples:

@@ -3,7 +3,10 @@
 Each `semikin.<module>` names its public classes and functions in
 `__all__`, and callers import them from there.  The package root holds
 only `__version__`, so `import semikin` costs no solver module and no
-scipy; `cli` and `__main__` are entry points, not libraries.
+scipy; `cli` and `__main__` are entry points, not libraries.  scipy is
+imported only where it is called (`expm` in collisional kinetics, `quad`
+in the many-body check), so starting the CLI and loading a scenario
+load none of it.
 """
 
 import importlib
@@ -47,6 +50,15 @@ def test_all_is_the_list_of_public_names(name):
     assert defined <= set(listed), f"{name} defines unlisted {sorted(defined - set(listed))}"
 
 
+def run_probe(probe):
+    env = dict(os.environ, PYTHONPATH=str(Path(semikin.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_the_package_root_loads_nothing():
     probe = (
         "import sys, semikin\n"
@@ -55,9 +67,20 @@ def test_the_package_root_loads_nothing():
         "print(loaded)\n"
         "print(sorted(n for n in vars(semikin) if not n.startswith('__')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(semikin.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    assert run_probe(probe) == ["[]", "[]"]
+
+
+def test_the_cli_and_the_scenario_loader_load_no_scipy():
+    probe = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import semikin.cli, semikin.io\n"
+        "bundled = sorted((Path(semikin.io.__file__).parent / 'scenarios').glob('*.ini'))\n"
+        "for path in bundled:\n"
+        "    semikin.io.load_scenario(path)\n"
+        "print(len(bundled))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "[]"]
+    count, scipy_modules = run_probe(probe)
+    assert int(count) >= 9
+    assert scipy_modules == "[]"
