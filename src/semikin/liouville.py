@@ -247,23 +247,22 @@ class TransportStencil:
         grid: PhaseSpaceGrid,
         hamiltonian: HamiltonianSpec,
         t: float,
-        dt: float | None = None,
         periodic_x: bool = False,
     ) -> TransportStencil:
-        """The stencil of one `flow_map` backtrace of the node mesh over t.
-
-        `dt` bounds the Verlet step as in `evolve_liouville` (default:
-        one step).
-        """
-        feet = flow_map(*_nodes(grid), -t, abs(t) if dt is None else dt, hamiltonian)
+        """The stencil of one `flow_map` backtrace of the node mesh over t
+        (one Verlet step where there is no closed form)."""
+        feet = flow_map(*_nodes(grid), -t, abs(t), hamiltonian)
         return cls.at_feet(grid, feet, t, periodic_x)
 
     def __call__(self, rho: PhaseSpaceDensity) -> PhaseSpaceDensity:
-        """ρ transported over t, after the leak check on its mass."""
-        if rho.values.shape != self.grid.shape:
-            raise ValueError(
-                f"density shape {rho.values.shape} != stencil grid {self.grid.shape}"
-            )
+        """ρ transported over t, after the leak check on its mass.
+
+        The feet belong to `self.grid`, so `rho` must live on that very
+        grid object; a grid of the same shape but other centres or
+        spacings would be moved along the wrong characteristics.
+        """
+        if rho.grid is not self.grid:
+            raise ValueError("density is not on the stencil's grid")
         leak = _leaked_fraction(rho.values, self.penetration, self.edge)
         if leak > _BOUNDARY_MASS_TOL:
             raise NumericalFailure(
@@ -271,7 +270,7 @@ class TransportStencil:
                 f" {leak:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
             )
         return PhaseSpaceDensity(
-            grid=rho.grid, values=_gather(self.corners, rho.values), time=rho.time + self.t
+            grid=self.grid, values=_gather(self.corners, rho.values), time=rho.time + self.t
         )
 
 

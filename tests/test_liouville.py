@@ -310,12 +310,14 @@ class TestTransportStencil:
 
     def test_checks_every_density_it_moves(self, constants):
         g = square_grid(64, 8.0, constants)
-        stencil = TransportStencil.backtrace(g, TRAP, 0.9, dt=0.9 / 64)
+        stencil = TransportStencil.backtrace(g, TRAP, 0.9)
         stencil(gaussian_blob(g, 1.0, -0.5, 1.0, 0.8))
         with pytest.raises(NumericalFailure, match="boundary"):
             stencil(gaussian_blob(g, 2.0, 0.0, 1.2, 1.2))
-        with pytest.raises(ValueError, match="shape"):
-            stencil(gaussian_blob(square_grid(32, 8.0, constants), 1.0, -0.5, 1.0, 0.8))
+        # another shape, and the same shape over another extent
+        for other in (square_grid(32, 8.0, constants), square_grid(64, 6.0, constants)):
+            with pytest.raises(ValueError, match="stencil's grid"):
+                stencil(gaussian_blob(other, 1.0, -0.5, 1.0, 0.8))
 
 
 class TestLiouvilleSamples:
