@@ -15,8 +15,11 @@ for symmetric rates, increases −Σρlnρ monotonically.
 phase space (Strang half-steps of the Liouville engine, all served by
 one `liouville.TransportStencil` per call) interleaved with the
 momentum-space master relaxation applied independently at every
-spatial cell.  scipy's `expm` is imported by the two propagators that
-call it, so loading this module loads no scipy.
+spatial cell.  Its hop matrix e^{Q·step} comes from the same
+uniformization as the master-equation stepper, so it is non-negative by
+construction and needs no scipy.  Only `evolve_master`'s "exponential"
+method imports scipy's `expm`, when it runs, so loading this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -198,7 +201,10 @@ def _uniformized_step(qt: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
     non-negative, and e^{Qᵀt} = e^{-Λt}Σ_j (Λt)^j/j! · P^j: every term
     is non-negative, and P preserves the 1-norm of non-negative
     vectors, so truncating at cumulative Poisson weight 1 - 1e-15
-    bounds the error by 1e-15·Σρ.
+    bounds the error by 1e-15·Σρ.  Where rounding leaves the summed
+    weights short of that threshold, the sum stops once the weights are
+    past their mode and too small to change it: every later weight is
+    smaller still, so no further term could move the sum.
     """
     lam = float(np.max(-np.diag(qt)))
     if lam <= 0.0 or t == 0.0:
@@ -220,9 +226,16 @@ def _uniformized_step(qt: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
             term = p_matrix @ term
             weight *= mu / j
             acc += weight * term
+            if j > mu and cumulative + weight == cumulative:
+                break
             cumulative += weight
         rho = acc
     return rho
+
+
+def _hop(rates: RateMatrix, t: float) -> np.ndarray:
+    """e^{Q·t} by uniformization: every entry ≥ 0, every row sums to 1."""
+    return _uniformized_step(rates.values.T, np.eye(rates.size), t).T
 
 
 def evolve_master(
@@ -345,12 +358,14 @@ def evolve_boltzmann(
 
     Each step of length dt applies a half-step of Liouville transport,
     a full master-equation step column-wise in momentum at every
-    spatial cell, and another transport half-step.  Every half-step
-    moves by the same step/2 on the same grid, so one backtrace of the
-    node mesh (one Verlet step where there is no closed form) builds one
-    `TransportStencil` that serves them all, bit for bit what a fresh
-    `evolve_liouville` per half-step gives, leak check and validation
-    included.  With no rates (None or all-zero) the call degenerates to
+    spatial cell, and another transport half-step.  The master step is
+    one hop matrix e^{Q·step} per call, summed by uniformization: every
+    entry is non-negative and every row sums to 1 to rounding.  Every
+    half-step moves by the same step/2 on the same grid, so one
+    backtrace of the node mesh (one Verlet step where there is no closed
+    form) builds one `TransportStencil` that serves them all, bit for
+    bit what a fresh `evolve_liouville` per half-step gives, leak check
+    and validation included.  With no rates (None or all-zero) the call degenerates to
     a single `evolve_liouville` over the whole interval — identically,
     not approximately.
     """
@@ -362,12 +377,10 @@ def evolve_boltzmann(
         raise ValueError("rate matrix must live on the density's momentum cells")
     if t == 0.0:
         return f0
-    from scipy.linalg import expm
-
     steps = _step_count(t, t if dt is None else dt)
     step = t / steps
     # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
-    hop = expm(rates.values * step)
+    hop = _hop(rates, step)
     half = TransportStencil.backtrace(f0.grid, hamiltonian, 0.5 * step, periodic_x=periodic_x)
     f = f0
     for _ in range(steps):

@@ -16,7 +16,9 @@ kernel runs follows from the potential on the grid:
                                factor e^{-ip²(steps·dt)/2mħ}, one FFT
                                pair per call;
   U ≠ 0 (linear, harmonic,     the stepped Strang loop, one FFT pair
-  barrier):                    per step.
+  barrier):                    per step; the closing half kick of each
+                               step and the opening one of the next
+                               are applied as one full kick.
 
 Potentials are small tagged value objects carrying their analytic value
 and derivative; `is_smooth` records whether the classical module may
@@ -254,12 +256,18 @@ def evolve(
         kinetic = np.exp(-0.5j * p**2 * (steps * dt) / (c.mass * c.hbar))
         values = np.fft.ifft(kinetic * np.fft.fft(values))
     else:
+        # adjacent half kicks fuse into one full kick; FFTs write into
+        # `buf` and back into `values` instead of new arrays
         half_v = np.exp(-0.5j * v * dt / c.hbar)
+        full_v = half_v * half_v
         kinetic = np.exp(-0.5j * p**2 * dt / (c.mass * c.hbar))
-        for _ in range(steps):
-            values = half_v * values
-            values = np.fft.ifft(kinetic * np.fft.fft(values))
-            values = half_v * values
+        values = half_v * values
+        buf = np.empty_like(values)
+        for i in range(steps):
+            np.fft.fft(values, out=buf)
+            buf *= kinetic
+            np.fft.ifft(buf, out=values)
+            values *= half_v if i == steps - 1 else full_v
     out = WaveFunction(
         grid=grid, values=values, time=psi.time + steps * dt, constants=c
     )

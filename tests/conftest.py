@@ -1,12 +1,34 @@
-"""Shared fixtures: natural units, small phase-space test grids, and a
-potential wrapper that forces the Verlet path of `flow_map`."""
+"""Shared fixtures: natural units, small phase-space test grids, a
+potential wrapper that forces the Verlet path of `flow_map`, and a
+probe that runs code in a fresh interpreter."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semikin
 from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants
+
+
+def run_probe(probe):
+    """Run `probe` in a fresh interpreter on this source tree; return its
+    stdout lines.  A probe that has not exited by the timeout is killed
+    and fails the test, so a hang shows as a failure."""
+    env = dict(os.environ, PYTHONPATH=str(Path(semikin.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
 
 
 @pytest.fixture(scope="session")

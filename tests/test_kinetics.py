@@ -10,6 +10,7 @@ composition must collapse to the bare master equation.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from scipy.linalg import expm
 import semikin.liouville
 from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants
 from semikin.errors import NumericalFailure
+from semikin.io import load_scenario
 from semikin.kinetics import (
     FockEnsemble,
     InteractionMatrix,
     Occupation,
     RateMatrix,
     StateSpace,
+    _hop,
     current_density,
     entropy,
     evolve_boltzmann,
@@ -35,7 +38,7 @@ from semikin.kinetics import (
 from semikin.liouville import HamiltonianSpec, evolve_liouville
 from semikin.schrodinger import FreePotential, HarmonicPotential, LinearPotential
 
-from conftest import VerletOnly, gaussian_blob, square_grid
+from conftest import VerletOnly, gaussian_blob, run_probe, square_grid
 
 FREE = HamiltonianSpec(mass=1.0, potential=FreePotential())
 VERLET_TRAP = HamiltonianSpec(mass=1.0, potential=VerletOnly(HarmonicPotential(k=1.0)))
@@ -52,7 +55,7 @@ def shell_rates(p_centers):
 def strang_reference(f0, hamiltonian, rates, t, steps, periodic_x):
     """The Strang loop with a fresh `evolve_liouville` at every half-step."""
     step = t / steps
-    hop = expm(rates.values * step)
+    hop = _hop(rates, step)
     f = f0
     for _ in range(steps):
         f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
@@ -170,6 +173,26 @@ class TestEvolveMaster:
         assert abs(out[:3].sum() - rho0[:3].sum()) < 1e-12
         assert abs(out[3:].sum() - rho0[3:].sum()) < 1e-12
         assert np.ptp(out[:3]) < 1e-12 and np.ptp(out[3:]) < 1e-12
+
+    def test_stepper_returns_where_rounding_stalls_the_poisson_sum(self):
+        # at these Λt the summed Poisson weights round to a value that
+        # stays below 1 - 1e-15 for good; the probe's timeout turns a hang
+        # into a failure
+        probe = (
+            "import numpy as np\n"
+            "from scipy.linalg import expm\n"
+            "from semikin.kinetics import Occupation, RateMatrix, evolve_master\n"
+            "q = np.array([[-1.0, 1.0], [1.0, -1.0]])\n"
+            "rates = RateMatrix(q, eta=1.0)\n"
+            "worst = 0.0\n"
+            "for t in [30.679856066704698, *np.linspace(1e-6, 128.0, 2000)]:\n"
+            "    out = evolve_master(Occupation(np.array([1.0, 0.0])), rates, t,"
+            " method='stepper').values\n"
+            "    worst = max(worst, np.max(np.abs(out - expm(q.T * t) @ [1.0, 0.0])))\n"
+            "print(worst)\n"
+        )
+        (worst,) = run_probe(probe)
+        assert float(worst) < 1e-14
 
     def test_negative_time_is_refused(self):
         rates = random_rates(np.random.default_rng(1), 3)
@@ -323,6 +346,31 @@ class TestCurrentDensity:
             )
             js.append(current_density(PhaseSpaceDensity(grid=g, values=f)))
         assert np.allclose(js[1], 2.0 * js[0], rtol=1e-14)
+
+
+def bundled_rates(name):
+    scenario = load_scenario(Path(semikin.__file__).parent / "scenarios" / f"{name}.ini")
+    return scenario.rates, scenario.dt
+
+
+@pytest.mark.parametrize(
+    "rates, step",
+    [
+        (shell_rates(np.linspace(-8.0, 8.0, 32)), 0.125),
+        bundled_rates("relaxation"),
+        bundled_rates("drifting_relaxation"),
+    ],
+    ids=["shell", "relaxation", "drifting_relaxation"],
+)
+def test_hop_is_the_matrix_exponential(rates, step):
+    """The collision hop e^{Q·step} comes from uniformization, not expm:
+    it agrees with scipy's expm to rounding, has no negative entry, and
+    keeps every row stochastic."""
+    hop = _hop(rates, step)
+    assert np.max(np.abs(hop - expm(rates.values * step))) <= 1e-15
+    assert np.all(hop >= 0.0)
+    k = rates.size
+    assert np.max(np.abs(hop.sum(axis=1) - 1.0)) <= k * np.finfo(float).eps
 
 
 class TestEvolveBoltzmann:

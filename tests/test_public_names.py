@@ -4,22 +4,20 @@ Each `semikin.<module>` names its public classes and functions in
 `__all__`, and callers import them from there.  The package root holds
 only `__version__`, so `import semikin` costs no solver module and no
 scipy; `cli` and `__main__` are entry points, not libraries.  scipy is
-imported only where it is called (`expm` in collisional kinetics, `quad`
-in the many-body check), so starting the CLI and loading a scenario
-load none of it.
+imported only where it is called (`expm` in `evolve_master`'s exponential
+method, `quad` in the many-body check), so starting the CLI, loading a
+scenario and running collisional `kinetics` load none of it.
 """
 
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import semikin
+
+from conftest import run_probe
 
 MODULES = sorted(
     name
@@ -50,15 +48,6 @@ def test_all_is_the_list_of_public_names(name):
     assert defined <= set(listed), f"{name} defines unlisted {sorted(defined - set(listed))}"
 
 
-def run_probe(probe):
-    env = dict(os.environ, PYTHONPATH=str(Path(semikin.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
-
-
 def test_the_package_root_loads_nothing():
     probe = (
         "import sys, semikin\n"
@@ -84,3 +73,19 @@ def test_the_cli_and_the_scenario_loader_load_no_scipy():
     count, scipy_modules = run_probe(probe)
     assert int(count) >= 9
     assert scipy_modules == "[]"
+
+
+def test_collisional_kinetics_loads_no_scipy(tmp_path):
+    probe = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import semikin.cli, semikin.io\n"
+        "ini = Path(semikin.io.__file__).parent / 'scenarios' / 'relaxation.ini'\n"
+        f"code = semikin.cli.main(['kinetics', '--scenario', str(ini), '--out', {str(tmp_path)!r}])\n"
+        "print(code)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    code, scipy_modules = run_probe(probe)[-2:]
+    assert code == "0"
+    assert scipy_modules == "[]"
+    assert any(tmp_path.rglob("histories.csv"))

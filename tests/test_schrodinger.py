@@ -140,6 +140,33 @@ def test_free_evolution_is_the_stepped_kinetic_product(small_grid):
         evolve(psi, FreePotential(), dt=0.2, steps=200)
 
 
+@pytest.mark.parametrize("steps", [1, 3000])
+@pytest.mark.parametrize(
+    "potential",
+    [
+        LinearPotential(force=1e-3),
+        HarmonicPotential(k=1e-4),
+        GaussianBarrier(v0=0.5, x_b=40.0, width=6.0),
+    ],
+    ids=["linear", "harmonic", "barrier"],
+)
+def test_fused_kicks_match_the_unfused_strang_product(small_grid, potential, steps):
+    """U ≠ 0 applies the closing half kick of one step and the opening one
+    of the next as one full kick; the unfused product of half kick,
+    kinetic factor and half kick per step is the reference."""
+    psi = init_gaussian_packet(small_grid, x_c=10.0, p_c=0.3, sigma=12.0)
+    dt = 0.05
+    p = 2.0 * np.pi * np.fft.fftfreq(small_grid.n, d=small_grid.dx)
+    half_v = np.exp(-0.5j * potential.value(small_grid.x) * dt)
+    kinetic = np.exp(-0.5j * p**2 * dt)
+    stepped = psi.values
+    for _ in range(steps):
+        stepped = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * stepped))
+    out = evolve(psi, potential, dt, steps)
+    assert out.time == steps * dt
+    assert np.max(np.abs(out.values - stepped)) <= 1e-12 * np.max(np.abs(stepped))
+
+
 def test_second_order_in_dt(small_grid):
     """Halving dt shrinks the step error by 4 (Richardson triplet)."""
     psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.5, sigma=16.0)
