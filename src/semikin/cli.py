@@ -243,10 +243,7 @@ def _manybody_rows(seed: int) -> list[tuple[str, str, float]]:
 
 
 def _cmd_manybody(outdir: Path, args) -> None:
-    rows = _manybody_rows(args.seed)
-    lines = ["check,detail,residual"]
-    lines.extend(f"{check},{detail},{residual!r}" for check, detail, residual in rows)
-    table = "\n".join(lines) + "\n"
+    table = artifacts._csv("check,detail,residual", _manybody_rows(args.seed))
     sys.stdout.write(table)
     artifacts.atomic_write_text(outdir / "residuals.csv", table)
 

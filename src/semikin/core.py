@@ -64,6 +64,8 @@ class SpatialGrid:
     n: int
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.x_min):
+            raise ValueError(f"x_min must be finite, got {self.x_min!r}")
         if self.dx <= 0.0 or not np.isfinite(self.dx):
             raise ValueError(f"dx must be positive, got {self.dx!r}")
         if self.n < 8 or not _is_power_of_two(self.n):
@@ -135,6 +137,8 @@ class PhaseSpaceGrid:
         2πħ/Δx, so Δx·Δp = πħ.
         `n_p` defaults to `window_cells`, the full non-aliased band.
         """
+        if not np.isfinite(p_center):
+            raise ValueError(f"p_center must be finite, got {p_center!r}")
         if window_cells < 1 or grid.n % window_cells != 0:
             raise ValueError(
                 f"window of {window_cells} cells does not tile a grid of {grid.n} points"

@@ -25,7 +25,7 @@ mass, entropy and current histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from .core import (
 )
 from .envelope import ScaleReport, envelope_density, extract_envelope, scale_check
 from .errors import ScenarioError
-from .kinetics import RateMatrix, _collisionless, current_density, entropy, evolve_boltzmann
+from .kinetics import RateMatrix, boltzmann_samples, current_density, entropy
 from .liouville import _MAX_STEPS, HamiltonianSpec, flow_map, liouville_samples
 from .schrodinger import (
     FreePotential,
@@ -110,8 +110,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.packets:
             raise ScenarioError("a scenario needs at least one packet")
-        if self.dt <= 0.0:
-            raise ScenarioError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0.0 and np.isfinite(self.dt)):
+            raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
         times = np.asarray(self.sample_times, dtype=float)
         if times.size == 0:
             raise ScenarioError("a scenario needs at least one sample time")
@@ -149,6 +149,8 @@ class Scenario:
         try:
             total = np.zeros(grid.n, dtype=np.complex128)
             for packet in self.packets:
+                if not np.isfinite(packet.weight):
+                    raise ValueError(f"weight {packet.weight} must be finite")
                 part = init_gaussian_packet(
                     grid, packet.x_center, packet.p_center, packet.sigma, self.constants
                 )
@@ -156,9 +158,10 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"bad packet: {exc}") from exc
         psi = WaveFunction(grid=grid, values=total, time=0.0, constants=self.constants)
-        return WaveFunction(
-            grid=grid, values=total / l2_norm(psi), time=0.0, constants=self.constants
-        )
+        norm = l2_norm(psi)
+        if not (norm > 0.0 and np.isfinite(norm)):
+            raise ScenarioError(f"the packets add up to a wavefunction of norm {norm}")
+        return WaveFunction(grid=grid, values=total / norm, time=0.0, constants=self.constants)
 
     def hamiltonian(self) -> HamiltonianSpec:
         return HamiltonianSpec(mass=self.constants.mass, potential=self.potential)
@@ -221,22 +224,10 @@ class CorrespondenceReport:
     barrier: Optional[BarrierSummary] = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "times",
-            "x_quantum",
-            "p_quantum",
-            "mass_envelope",
-            "l1",
-            "l2",
-            "x_classical",
-            "p_classical",
-            "mass_classical",
-        ):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"report metric {name} contains non-finite entries")
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if isinstance(arr, np.ndarray) and not np.all(np.isfinite(arr)):
+                raise ValueError(f"report metric {f.name} contains non-finite entries")
         for name in ("l1", "l2"):
             arr = getattr(self, name)
             if arr is not None and np.any(arr < 0.0):
@@ -346,7 +337,7 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
 
 
 def _lobe_center(rho: PhaseSpaceDensity, mask: np.ndarray) -> tuple[float, float, float]:
-    """(⟨x⟩, ⟨p⟩, mass fraction) of the masked phase-space region."""
+    """(⟨x⟩, ⟨p⟩, mass fraction) of the momentum cells `mask` selects."""
     g = rho.grid
     weights = rho.values * mask
     total = float(np.sum(weights))
@@ -379,53 +370,35 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     _, pg, report_scale, _ = prepare(scenario, force)
 
     dead = pg.p_halfwidth
-    p_plus = pg.p_centers > dead
-    p_minus = pg.p_centers < -dead
-    mask_t = np.zeros(pg.shape)
-    mask_t[:, p_plus] = 1.0
-    mask_r = np.zeros(pg.shape)
-    mask_r[:, p_minus] = 1.0
+    transmitted, reflected = pg.p_centers > dead, pg.p_centers < -dead
 
     n = len(scenario.sample_times)
     times = np.asarray(scenario.sample_times, dtype=float)
     x_q = np.empty(n)
     p_q = np.empty(n)
     m_env = np.empty(n)
-    centers = {"transmitted": [], "reflected": []}
-    fractions = {"transmitted": [], "reflected": []}
-    deadband = 0.0
+    # (⟨x⟩, ⟨p⟩, mass fraction) of the transmitted and reflected lobe per sample
+    tracks = np.empty((2, n, 3))
     psi_last = None
 
     for i, psi in enumerate(quantum_samples(scenario)):
         rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
         m_env[i] = phase_space_mass(rho_env)
-        for label, mask in (("transmitted", mask_t), ("reflected", mask_r)):
-            x, p, frac = _lobe_center(rho_env, mask)
-            centers[label].append((x, p))
-            fractions[label].append(frac)
-        if i == 0:
-            deadband = 1.0 - fractions["transmitted"][0] - fractions["reflected"][0]
+        tracks[0, i] = _lobe_center(rho_env, transmitted)
+        tracks[1, i] = _lobe_center(rho_env, reflected)
         psi_last = psi
 
     transmission, reflection = transmission_reflection(psi_last, float(barrier_x))
-    free_flow = HamiltonianSpec(mass=scenario.constants.mass, potential=FreePotential())
+    deadband = float(1.0 - tracks[0, 0, 2] - tracks[1, 0, 2])
 
     lobes = []
-    for label in ("transmitted", "reflected"):
-        if fractions[label][0] <= 1e-6:
+    for label, (xs, ps, fractions) in zip(("transmitted", "reflected"), tracks.transpose(0, 2, 1)):
+        if fractions[0] <= 1e-6:
             continue  # e.g. no reflected lobe for a transparent barrier
-        x0, p0 = centers[label][0]
-        xs = np.array([c[0] for c in centers[label]])
-        ps = np.array([c[1] for c in centers[label]])
-        x_pred = np.empty(n)
-        p_pred = np.empty(n)
-        for i, t_i in enumerate(times):
-            if t_i > times[0]:
-                xc, pc = flow_map(x0, p0, t_i - times[0], scenario.dt, free_flow)
-                x_pred[i], p_pred[i] = float(xc), float(pc)
-            else:
-                x_pred[i], p_pred[i] = x0, p0
+        x_pred, p_pred = FreePotential().flow(
+            xs[0], ps[0], times - times[0], scenario.constants.mass
+        )
         lobes.append(
             LobeTrack(
                 label=label,
@@ -433,8 +406,8 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
                 x_measured=xs,
                 p_measured=ps,
                 x_predicted=x_pred,
-                p_predicted=p_pred,
-                mass_fraction=float(np.mean(fractions[label])),
+                p_predicted=np.full(n, p_pred),
+                mass_fraction=float(np.mean(fractions)),
             )
         )
 
@@ -459,38 +432,26 @@ def kinetic_scenario(scenario: Scenario, force: bool = False) -> KineticReport:
     """Run the assembled collisional transport and log its histories.
 
     The initial distribution is the windowed projection of the
-    scenario's packet.  A rate-free run takes its densities from
-    `liouville_samples`, the classical branch of `run_correspondence`,
-    so the two coincide sample by sample, bit for bit.  With rates,
-    each sample is advanced from the previous one by one
-    `evolve_boltzmann` call over the interval.  Either way the work
-    grows with the last sample time, and on sample times that are whole
-    multiples of `dt` every sample carries the same bits as an
-    evolution from t = 0.
+    scenario's packet, and the densities are those of
+    `kinetics.boltzmann_samples`, each sample advanced from the previous
+    one.  A rate-free run is therefore `liouville_samples`, the
+    classical branch of `run_correspondence`, sample by sample and bit
+    for bit.  The work grows with the last sample time, and on sample
+    times that are whole multiples of `dt` every sample carries the
+    same bits as an evolution from t = 0.
     """
     *_, f0 = prepare(scenario, force)
-    hamiltonian = scenario.hamiltonian()
-
     times = np.asarray(scenario.sample_times, dtype=float)
-    if _collisionless(scenario.rates):
-        densities = list(
-            liouville_samples(
-                f0, hamiltonian, times, dt=scenario.dt, periodic_x=scenario.periodic_x
-            )
+    densities = list(
+        boltzmann_samples(
+            f0,
+            scenario.hamiltonian(),
+            scenario.rates,
+            times,
+            dt=scenario.dt,
+            periodic_x=scenario.periodic_x,
         )
-    else:
-        densities, f, t_prev = [], f0, 0.0
-        for t_i in times:
-            f = evolve_boltzmann(
-                f,
-                hamiltonian,
-                scenario.rates,
-                t_i - t_prev,
-                dt=scenario.dt,
-                periodic_x=scenario.periodic_x,
-            )
-            t_prev = t_i
-            densities.append(f)
+    )
     return KineticReport(
         times=times,
         mass=np.array([phase_space_mass(f_i) for f_i in densities]),

@@ -101,37 +101,53 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(value) -> str:
+    return value if isinstance(value, str) else repr(float(value))
 
 
-def _csv(header: str, rows: Iterable[Iterable[float]]) -> str:
+def _csv(header: str, rows: Iterable[Iterable]) -> str:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; numpy arrays anywhere in `obj` become lists."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
-def _grid_sidecar(grid: PhaseSpaceGrid, time: float, planes: list[str]) -> dict:
+def _grid_sidecar(grid: PhaseSpaceGrid, time: float) -> dict:
     return {
-        "x0": [float(v) for v in grid.x_centers],
-        "p0": [float(v) for v in grid.p_centers],
+        "x0": grid.x_centers,
+        "p0": grid.p_centers,
         "dx": float(grid.window_width),
         "dp": float(grid.p_halfwidth),
         "time": float(time),
-        "planes": planes,
     }
 
 
-def _save_binary(base: Path, planes: np.ndarray, sidecar: dict) -> None:
-    """Raw row-major float64 <base>.bin plus its <base>.json sidecar."""
-    atomic_write_bytes(
-        base.with_suffix(".bin"), np.ascontiguousarray(planes, dtype="<f8").tobytes()
-    )
-    atomic_write_text(base.with_suffix(".json"), _json(sidecar))
+def _save_table(
+    base: Path, axes: dict, planes: dict, sidecar: Optional[dict] = None
+) -> None:
+    """Write <base>.csv in long form: a header of the axis and plane
+    names, then one row per point of the mesh of `axes` (the first axis
+    slowest) holding the axis values and each plane's value there.
+
+    With a `sidecar`, also write the planes stacked as raw row-major
+    float64 <base>.bin, and the sidecar plus the plane names as
+    <base>.json.
+    """
+    base = Path(base)
+    mesh = np.meshgrid(*axes.values(), indexing="ij")
+    columns = [c.ravel().tolist() for c in (*mesh, *planes.values())]
+    header = ",".join([*axes, *planes])
+    atomic_write_text(base.with_suffix(".csv"), _csv(header, zip(*columns)))
+    if sidecar is not None:
+        stacked = np.stack(list(planes.values()))
+        atomic_write_bytes(
+            base.with_suffix(".bin"), np.ascontiguousarray(stacked, dtype="<f8").tobytes()
+        )
+        atomic_write_text(base.with_suffix(".json"), _json({**sidecar, "planes": list(planes)}))
 
 
 # --------------------------------------------------------------------------
@@ -142,56 +158,43 @@ def _save_binary(base: Path, planes: np.ndarray, sidecar: dict) -> None:
 def save_density(density: PhaseSpaceDensity, base: Path, binary: bool = False) -> None:
     """Write <base>.csv (columns x0,p0,rho); with `binary` also a raw
     row-major float64 <base>.bin plus <base>.json axis sidecar."""
-    base = Path(base)
     g = density.grid
-    rows = (
-        (g.x_centers[i], g.p_centers[j], density.values[i, j])
-        for i in range(g.x_centers.size)
-        for j in range(g.p_centers.size)
+    _save_table(
+        base,
+        {"x0": g.x_centers, "p0": g.p_centers},
+        {"rho": density.values},
+        _grid_sidecar(g, density.time) if binary else None,
     )
-    atomic_write_text(base.with_suffix(".csv"), _csv("x0,p0,rho", rows))
-    if binary:
-        _save_binary(base, density.values, _grid_sidecar(g, density.time, ["rho"]))
 
 
 def save_envelope(field: EnvelopeField, base: Path, binary: bool = False) -> None:
     """Write <base>.csv (columns x0,p0,re,im); binary dumps stack the
     real plane then the imaginary plane, both row-major float64."""
-    base = Path(base)
     g = field.grid
-    rows = (
-        (g.x_centers[i], g.p_centers[j], field.values[i, j].real, field.values[i, j].imag)
-        for i in range(g.x_centers.size)
-        for j in range(g.p_centers.size)
+    _save_table(
+        base,
+        {"x0": g.x_centers, "p0": g.p_centers},
+        {"re": field.values.real, "im": field.values.imag},
+        _grid_sidecar(g, field.time) if binary else None,
     )
-    atomic_write_text(base.with_suffix(".csv"), _csv("x0,p0,re,im", rows))
-    if binary:
-        _save_binary(
-            base,
-            np.stack([field.values.real, field.values.imag]),
-            _grid_sidecar(g, field.time, ["re", "im"]),
-        )
 
 
 def save_wavefunction(psi: WaveFunction, base: Path, binary: bool = False) -> None:
     """Write <base>.csv (columns x,re,im); binary dumps stack the real
     plane then the imaginary plane as float64."""
-    base = Path(base)
-    x = psi.grid.x
-    rows = ((x[i], psi.values[i].real, psi.values[i].imag) for i in range(x.size))
-    atomic_write_text(base.with_suffix(".csv"), _csv("x,re,im", rows))
-    if binary:
-        _save_binary(
-            base,
-            np.stack([psi.values.real, psi.values.imag]),
-            {
-                "x_min": float(psi.grid.x_min),
-                "dx": float(psi.grid.dx),
-                "n": int(psi.grid.n),
-                "time": float(psi.time),
-                "planes": ["re", "im"],
-            },
-        )
+    g = psi.grid
+    sidecar = {
+        "x_min": float(g.x_min),
+        "dx": float(g.dx),
+        "n": int(g.n),
+        "time": float(psi.time),
+    }
+    _save_table(
+        base,
+        {"x": g.x},
+        {"re": psi.values.real, "im": psi.values.imag},
+        sidecar if binary else None,
+    )
 
 
 def save_rate_matrix(
@@ -205,7 +208,7 @@ def save_rate_matrix(
         base.with_suffix(".json"),
         _json(
             {
-                "energies": [float(e) for e in energies],
+                "energies": np.asarray(energies, dtype=float),
                 "eta": float(rates.eta),
                 "hbar": float(hbar),
             }
@@ -225,49 +228,13 @@ def load_rate_matrix(base: Path) -> tuple[RateMatrix, np.ndarray, float]:
         raise ScenarioError(f"cannot load rate matrix from {base}: {exc}") from exc
 
 
-def _report_dict(report: CorrespondenceReport) -> dict:
-    def listed(arr):
-        return None if arr is None else [float(v) for v in arr]
-
-    out = {
-        "times": listed(report.times),
-        "l1": listed(report.l1),
-        "l2": listed(report.l2),
-        "x_quantum": listed(report.x_quantum),
-        "p_quantum": listed(report.p_quantum),
-        "x_classical": listed(report.x_classical),
-        "p_classical": listed(report.p_classical),
-        "mass_envelope": listed(report.mass_envelope),
-        "mass_classical": listed(report.mass_classical),
-        "scale": dataclasses.asdict(report.scale),
-    }
-    if report.barrier is not None:
-        b = report.barrier
-        out["barrier"] = {
-            "transmission": b.transmission,
-            "reflection": b.reflection,
-            "deadband_fraction": b.deadband_fraction,
-            "separable": b.separable,
-            "lobes": [
-                {
-                    "label": lobe.label,
-                    "times": listed(lobe.times),
-                    "x_measured": listed(lobe.x_measured),
-                    "p_measured": listed(lobe.p_measured),
-                    "x_predicted": listed(lobe.x_predicted),
-                    "p_predicted": listed(lobe.p_predicted),
-                    "mass_fraction": lobe.mass_fraction,
-                }
-                for lobe in b.lobes
-            ],
-        }
-    return out
-
-
 def save_correspondence_report(report: CorrespondenceReport, outdir: Path) -> None:
     """report.json plus metrics.csv (and lobes.csv for barrier runs)."""
     outdir = Path(outdir)
-    atomic_write_text(outdir / "report.json", _json(_report_dict(report)))
+    fields = dataclasses.asdict(report)
+    if report.barrier is None:
+        del fields["barrier"]
+    atomic_write_text(outdir / "report.json", _json(fields))
 
     columns = [("t", report.times), ("x_quantum", report.x_quantum), ("p_quantum", report.p_quantum)]
     for name in ("x_classical", "p_classical", "l1", "l2", "mass_envelope", "mass_classical"):
@@ -279,24 +246,15 @@ def save_correspondence_report(report: CorrespondenceReport, outdir: Path) -> No
     atomic_write_text(outdir / "metrics.csv", _csv(header, rows))
 
     if report.barrier is not None:
-        lines = ["label,t,x_measured,p_measured,x_predicted,p_predicted"]
-        for lobe in report.barrier.lobes:
-            for i in range(lobe.times.size):
-                lines.append(
-                    lobe.label
-                    + ","
-                    + ",".join(
-                        _fmt(v)
-                        for v in (
-                            lobe.times[i],
-                            lobe.x_measured[i],
-                            lobe.p_measured[i],
-                            lobe.x_predicted[i],
-                            lobe.p_predicted[i],
-                        )
-                    )
-                )
-        atomic_write_text(outdir / "lobes.csv", "\n".join(lines) + "\n")
+        rows = (
+            (lobe.label, *row)
+            for lobe in report.barrier.lobes
+            for row in zip(
+                lobe.times, lobe.x_measured, lobe.p_measured, lobe.x_predicted, lobe.p_predicted
+            )
+        )
+        header = "label,t,x_measured,p_measured,x_predicted,p_predicted"
+        atomic_write_text(outdir / "lobes.csv", _csv(header, rows))
 
 
 def save_kinetic_report(
@@ -307,13 +265,9 @@ def save_kinetic_report(
     rows = zip(report.times, report.mass, report.entropy)
     atomic_write_text(outdir / "histories.csv", _csv("t,mass,entropy", rows))
     final = report.densities[-1]
-    x_centers = final.grid.x_centers
-    long_rows = (
-        (report.times[i], x_centers[j], report.current[i, j])
-        for i in range(report.times.size)
-        for j in range(x_centers.size)
+    _save_table(
+        outdir / "current", {"t": report.times, "x": final.grid.x_centers}, {"j": report.current}
     )
-    atomic_write_text(outdir / "current.csv", _csv("t,x,j", long_rows))
     save_density(final, outdir / "final_density", binary=binary)
 
 

@@ -11,15 +11,16 @@ and irreversible.  The diagonal closes each row to zero sum, so the
 gain–loss master equation ρ̇_k = Σ_l Q_lk ρ_l conserves probability and,
 for symmetric rates, increases −Σρlnρ monotonically.
 
-`evolve_boltzmann` assembles the full transport: free streaming in
+`boltzmann_samples` assembles the full transport: free streaming in
 phase space (Strang half-steps of the Liouville engine, all served by
-one `liouville.TransportStencil` per call) interleaved with the
-momentum-space master relaxation applied independently at every
-spatial cell.  Its hop matrix e^{Q·step} comes from the same
-uniformization as the master-equation stepper, so it is non-negative by
-construction and needs no scipy.  Only `evolve_master`'s "exponential"
-method imports scipy's `expm`, when it runs, so loading this module
-loads no scipy.
+one `liouville.TransportStencil` per sample interval) interleaved with
+the momentum-space master relaxation applied independently at every
+spatial cell.  Without rates it is `liouville_samples`, decided there
+alone; `evolve_boltzmann` is its one-sample case.  Its hop matrix
+e^{Q·step} comes from the same uniformization as the master-equation
+stepper, so it is non-negative by construction and needs no scipy.
+Only `evolve_master`'s "exponential" method imports scipy's `expm`,
+when it runs, so loading this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -27,12 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import PhaseSpaceDensity, PhysicalConstants
-from .liouville import HamiltonianSpec, TransportStencil, _step_count, evolve_liouville
+from .liouville import (
+    _MAX_STEPS,
+    HamiltonianSpec,
+    TransportStencil,
+    _step_count,
+    liouville_samples,
+)
 
 __all__ = [
     "StateSpace",
@@ -45,6 +52,7 @@ __all__ = [
     "incoherent_average",
     "number_correlator",
     "current_density",
+    "boltzmann_samples",
     "evolve_boltzmann",
     "entropy",
 ]
@@ -181,8 +189,8 @@ def fermi_rates(
     coupling: InteractionMatrix, states: StateSpace, eta: float, hbar: float = 1.0
 ) -> RateMatrix:
     """Golden-rule rate matrix with Gaussian-broadened energy conservation."""
-    if eta <= 0.0:
-        raise ValueError(f"broadening must be positive, got {eta}")
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"broadening must be positive and finite, got {eta}")
     v = coupling.values
     if v.shape[0] != states.size:
         raise ValueError("coupling and state space sizes differ")
@@ -209,6 +217,11 @@ def _uniformized_step(qt: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
     lam = float(np.max(-np.diag(qt)))
     if lam <= 0.0 or t == 0.0:
         return rho.copy()
+    if lam * t > _MAX_STEPS:
+        raise ValueError(
+            f"collision rates too stiff: Λ·t = {lam * t:.3g} Poisson terms"
+            f" exceed {_MAX_STEPS}"
+        )
     # keep e^{-Λt} representable: split long intervals into chunks
     chunks = max(1, int(np.ceil(lam * t / 128.0)))
     dt = t / chunks
@@ -346,6 +359,55 @@ def _collisionless(rates: Optional[RateMatrix]) -> bool:
     return rates is None or not np.any(rates.values)
 
 
+def boltzmann_samples(
+    f0: PhaseSpaceDensity,
+    hamiltonian: HamiltonianSpec,
+    rates: Optional[RateMatrix],
+    times: Sequence[float],
+    dt: float | None = None,
+    periodic_x: bool = False,
+) -> Iterator[PhaseSpaceDensity]:
+    """Yield f(tᵢ) at every time of `times`, streaming plus local collisions.
+
+    Each sample is advanced from the previous one by Strang splitting:
+    every step of length ≤ dt applies a half-step of Liouville
+    transport, a full master-equation step column-wise in momentum at
+    every spatial cell, and another transport half-step.  The master
+    step is one hop matrix e^{Q·step} per interval, summed by
+    uniformization: every entry is non-negative and every row sums to 1
+    to rounding.  Every half-step of an interval moves by the same
+    step/2 on the same grid, so one backtrace of the node mesh (one
+    Verlet step where there is no closed form) builds one
+    `TransportStencil` that serves them all, bit for bit what a fresh
+    `evolve_liouville` per half-step gives, leak check and validation
+    included.  With no rates (None or all zero) the samples are those of
+    `liouville_samples` — identically, not approximately.  Collisions
+    are irreversible, so the times, from t = 0 on, must not decrease.
+    """
+    if np.any(np.diff(times, prepend=0.0) < 0.0):
+        raise ValueError("collisional evolution runs forward only")
+    if _collisionless(rates):
+        yield from liouville_samples(f0, hamiltonian, times, dt, periodic_x)
+        return
+    if rates.size != f0.grid.p_centers.size:
+        raise ValueError("rate matrix must live on the density's momentum cells")
+    f, t_prev = f0, 0.0
+    for t in times:
+        if t > t_prev:
+            steps = _step_count(t - t_prev, t - t_prev if dt is None else dt)
+            step = (t - t_prev) / steps
+            # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
+            hop = _hop(rates, step)
+            half = TransportStencil.backtrace(f.grid, hamiltonian, 0.5 * step, periodic_x)
+            for _ in range(steps):
+                f = half(f)
+                mixed = np.maximum(f.values @ hop, 0.0)
+                f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
+                f = half(f)
+            t_prev = t
+        yield f
+
+
 def evolve_boltzmann(
     f0: PhaseSpaceDensity,
     hamiltonian: HamiltonianSpec,
@@ -354,41 +416,10 @@ def evolve_boltzmann(
     dt: float | None = None,
     periodic_x: bool = False,
 ) -> PhaseSpaceDensity:
-    """Streaming plus local collisions by Strang splitting.
-
-    Each step of length dt applies a half-step of Liouville transport,
-    a full master-equation step column-wise in momentum at every
-    spatial cell, and another transport half-step.  The master step is
-    one hop matrix e^{Q·step} per call, summed by uniformization: every
-    entry is non-negative and every row sums to 1 to rounding.  Every
-    half-step moves by the same step/2 on the same grid, so one
-    backtrace of the node mesh (one Verlet step where there is no closed
-    form) builds one `TransportStencil` that serves them all, bit for
-    bit what a fresh `evolve_liouville` per half-step gives, leak check
-    and validation included.  With no rates (None or all-zero) the call degenerates to
-    a single `evolve_liouville` over the whole interval — identically,
-    not approximately.
-    """
-    if t < 0.0:
-        raise ValueError("collisional evolution runs forward only")
-    if _collisionless(rates):
-        return evolve_liouville(f0, hamiltonian, t, dt=dt, periodic_x=periodic_x)
-    if rates.size != f0.grid.p_centers.size:
-        raise ValueError("rate matrix must live on the density's momentum cells")
-    if t == 0.0:
-        return f0
-    steps = _step_count(t, t if dt is None else dt)
-    step = t / steps
-    # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
-    hop = _hop(rates, step)
-    half = TransportStencil.backtrace(f0.grid, hamiltonian, 0.5 * step, periodic_x=periodic_x)
-    f = f0
-    for _ in range(steps):
-        f = half(f)
-        mixed = np.maximum(f.values @ hop, 0.0)
-        f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
-        f = half(f)
-    return f
+    """Streaming plus local collisions for time t ≥ 0: the one-sample
+    case of `boltzmann_samples`, so with no rates it is
+    `evolve_liouville` over the whole interval."""
+    return next(boltzmann_samples(f0, hamiltonian, rates, (t,), dt, periodic_x))
 
 
 def entropy(occupation) -> float:

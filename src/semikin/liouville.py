@@ -8,7 +8,7 @@ bilinear interpolation — no resampling noise, positivity preserved,
 measure conserved up to the interpolation bound.  The interpolation is
 a `TransportStencil`: gather indices and weights built once from the
 feet, so densities that all move by the same interval (the Strang
-half-steps of `kinetics.evolve_boltzmann`) share one backtrace and one
+half-steps of `kinetics.boltzmann_samples`) share one backtrace and one
 stencil.  Which flow kernel runs follows from the potential:
 
   free, linear, harmonic:  the potential's closed-form `flow`, exact in

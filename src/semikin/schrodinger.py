@@ -193,6 +193,8 @@ def init_gaussian_packet(
     carrier and the envelope are both resolved, and the tails must be
     below 1e-10 of the peak at both grid edges.
     """
+    if not all(math.isfinite(v) for v in (x_c, p_c, sigma)):
+        raise ValueError(f"packet x_c = {x_c}, p_c = {p_c}, sigma = {sigma} must be finite")
     if sigma < 4.0 * grid.dx:
         raise ValueError(f"sigma = {sigma} under-resolved: need sigma >= 4 dx = {4 * grid.dx}")
     x = grid.x

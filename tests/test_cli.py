@@ -18,6 +18,8 @@ import semikin
 from semikin.cli import OUTPUT_ROOT_ENV, main
 from semikin.io import load_rate_matrix
 
+from conftest import run_probe
+
 SCENARIO_DIR = Path(semikin.__file__).parent / "scenarios"
 
 TINY = """\
@@ -174,6 +176,51 @@ class TestExitCodes:
     def test_a_failed_run_leaves_no_output_directory(self, command, ini, tmp_path, capsys):
         assert main([command, "--scenario", str(ini), "--out", str(tmp_path)]) == 1
         assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize(
+        "command, name, override, message",
+        [
+            ("kinetics", "relaxation", "time.dt=inf", "dt must be positive and finite"),
+            ("liouville", "harmonic_trap", "time.dt=inf", "dt must be positive and finite"),
+            ("kinetics", "relaxation", "time.dt=nan", "dt must be positive and finite"),
+            ("compare", "harmonic_trap", "packet.x_center=nan", "must be finite"),
+            ("compare", "harmonic_trap", "packet.weight=0", "norm 0.0"),
+            ("compare", "harmonic_trap", "packet.weight=inf", "weight inf must be finite"),
+            ("compare", "harmonic_trap", "grid.x_min=inf", "x_min must be finite"),
+            ("compare", "harmonic_trap", "grid.p_center=nan", "p_center must be finite"),
+            ("kinetics", "relaxation", "rates.eta=inf", "broadening must be positive and finite"),
+        ],
+    )
+    def test_a_non_finite_or_empty_input_is_a_configuration_error(
+        self, command, name, override, message, tmp_path, capsys
+    ):
+        argv = [
+            command, "--scenario", str(SCENARIO_DIR / f"{name}.ini"),
+            "--override", override, "--out", str(tmp_path),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("semikin: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / command).exists()
+
+    def test_stiff_collision_rates_fail_fast(self, tmp_path):
+        # Λ·step = 6.3e8 Poisson terms per hop; the probe's timeout turns
+        # a stepper that grinds through them into a failure
+        probe = (
+            "import contextlib, io\n"
+            "from semikin.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = main(['kinetics', '--scenario', {str(SCENARIO_DIR / 'relaxation.ini')!r},"
+            f" '--override', 'rates.eta=1e-12', '--out', {str(tmp_path)!r}])\n"
+            "print(code)\n"
+            "print(err.getvalue(), end='')\n"
+        )
+        code, *err = run_probe(probe)
+        assert code == "1"
+        assert len(err) == 1 and err[0].startswith("semikin: collision rates too stiff")
+        assert not (tmp_path / "kinetics").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -5,6 +5,8 @@ wall clock, so saving the same object twice must reproduce the bytes
 exactly; loaders must round-trip what the writers emit.
 """
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -14,7 +16,14 @@ import pytest
 import semikin
 from semikin import io as artifacts
 from semikin.core import PhaseSpaceDensity, SpatialGrid
-from semikin.correspondence import kinetic_scenario, run_correspondence
+from semikin.correspondence import (
+    BarrierSummary,
+    CorrespondenceReport,
+    LobeTrack,
+    barrier_split_experiment,
+    kinetic_scenario,
+    run_correspondence,
+)
 from semikin.envelope import EnvelopeField
 from semikin.errors import ScenarioError
 from semikin.kinetics import RateMatrix
@@ -78,8 +87,6 @@ class TestDensityDump:
         artifacts.save_density(rho, tmp_path / "rho", binary=True)
         raw = np.frombuffer((tmp_path / "rho.bin").read_bytes(), dtype="<f8")
         assert np.array_equal(raw.reshape(4, 4), rho.values)
-        import json
-
         sidecar = json.loads((tmp_path / "rho.json").read_text())
         assert sidecar["planes"] == ["rho"]
         assert sidecar["x0"] == [float(v) for v in g.x_centers]
@@ -116,8 +123,6 @@ class TestWavefunctionDump:
         lines = (tmp_path / "psi.csv").read_text().splitlines()
         assert lines[0] == "x,re,im"
         assert len(lines) == 1 + 128
-        import json
-
         sidecar = json.loads((tmp_path / "psi.json").read_text())
         assert sidecar["n"] == 128 and sidecar["dx"] == 1.0
         assert sidecar["x_min"] == -64.0 and sidecar["planes"] == ["re", "im"]
@@ -150,6 +155,18 @@ def tiny_report():
     return run_correspondence(tiny_scenario())
 
 
+@pytest.fixture(scope="module")
+def barrier_report():
+    scenario = artifacts.load_scenario(
+        SCENARIO_DIR / "barrier_split.ini", overrides={"time.samples": "0, 16"}
+    )
+    return barrier_split_experiment(scenario)
+
+
+def _names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 class TestReportWriters:
 
     def test_correspondence_report_files(self, tmp_path, tiny_report):
@@ -161,12 +178,26 @@ class TestReportWriters:
             "t", "x_quantum", "p_quantum", "x_classical", "p_classical",
             "l1", "l2", "mass_envelope", "mass_classical",
         ]
-        import json
-
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["times"] == [0.0, 16.0]
         assert report["scale"]["satisfied"] is True
-        assert "barrier" not in report
+        assert set(report) == _names(CorrespondenceReport) - {"barrier"}
+
+    def test_barrier_report_files(self, tmp_path, barrier_report):
+        artifacts.save_correspondence_report(barrier_report, tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["lobes.csv", "metrics.csv", "report.json"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == _names(CorrespondenceReport)
+        barrier = report["barrier"]
+        assert set(barrier) == _names(BarrierSummary)
+        assert isinstance(barrier["separable"], bool)
+        lobes = barrier_report.barrier.lobes
+        assert lobes and [set(lobe) for lobe in barrier["lobes"]] == [_names(LobeTrack)] * len(lobes)
+        lines = (tmp_path / "lobes.csv").read_text().splitlines()
+        assert lines[0] == "label,t,x_measured,p_measured,x_predicted,p_predicted"
+        labels = [line.split(",")[0] for line in lines[1:]]
+        assert labels == [lobe.label for lobe in lobes for _ in lobe.times]
 
     def test_report_json_is_idempotent(self, tmp_path, tiny_report):
         artifacts.save_correspondence_report(tiny_report, tmp_path)

@@ -27,6 +27,7 @@ from semikin.kinetics import (
     RateMatrix,
     StateSpace,
     _hop,
+    boltzmann_samples,
     current_density,
     entropy,
     evolve_boltzmann,
@@ -35,7 +36,7 @@ from semikin.kinetics import (
     incoherent_average,
     number_correlator,
 )
-from semikin.liouville import HamiltonianSpec, evolve_liouville
+from semikin.liouville import HamiltonianSpec, evolve_liouville, liouville_samples
 from semikin.schrodinger import FreePotential, HarmonicPotential, LinearPotential
 
 from conftest import VerletOnly, gaussian_blob, run_probe, square_grid
@@ -391,6 +392,33 @@ class TestEvolveBoltzmann:
         )
         assert np.array_equal(off.values, direct.values)
         assert np.array_equal(zero.values, direct.values)
+
+    @pytest.mark.parametrize(
+        "hamiltonian, periodic_x",
+        [(FREE, True), (VERLET_TRAP, False)],
+        ids=["free-periodic", "verlet-trap-open"],
+    )
+    def test_zero_rates_give_the_liouville_samples_bitwise(
+        self, hamiltonian, periodic_x, constants
+    ):
+        g = square_grid(32, 8.0, constants)
+        rho = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
+        zero = RateMatrix(values=np.zeros((32, 32)), eta=0.1)
+        times = (0.0, 0.5, 1.25)
+        ours = list(boltzmann_samples(rho, hamiltonian, zero, times, 0.125, periodic_x))
+        theirs = list(liouville_samples(rho, hamiltonian, times, 0.125, periodic_x))
+        assert len(ours) == len(theirs) == 3
+        for a, b in zip(ours, theirs):
+            assert a.time == b.time
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("collisional", [False, True], ids=["no-rates", "rates"])
+    def test_a_decreasing_sample_time_raises(self, collisional, constants):
+        g = square_grid(16, 4.0, constants)
+        rho = gaussian_blob(g, 0.0, 0.0, 1.0, 1.0)
+        rates = shell_rates(g.p_centers) if collisional else None
+        with pytest.raises(ValueError, match="forward"):
+            list(boltzmann_samples(rho, FREE, rates, (0.5, 1.0, 0.75), periodic_x=True))
 
     def test_rate_size_must_match_momentum_cells(self, constants):
         g = square_grid(16, 4.0, constants)
