@@ -235,10 +235,10 @@ def _manybody_rows(seed: int) -> list[tuple[str, str, float]]:
     )
     window = 32.0
     diag = windowed_orthogonality_check(1.0, 1.0, window, probe_slope=1.0)
-    rows.append(("windowed_orthogonality", "same carrier, slope error", abs(diag - 1.0)))
+    rows.append(("windowed_orthogonality", "same carrier: slope error", abs(diag - 1.0)))
     q = 2.0 * np.pi * 24.0 / window
     off = windowed_orthogonality_check(1.0, 1.0 + q, window)
-    rows.append(("windowed_orthogonality", "distinct carriers, 24 beats", abs(off)))
+    rows.append(("windowed_orthogonality", "distinct carriers: 24 beats", abs(off)))
     return rows
 
 

@@ -18,9 +18,9 @@ the momentum-space master relaxation applied independently at every
 spatial cell.  Without rates it is `liouville_samples`, decided there
 alone; `evolve_boltzmann` is its one-sample case.  Its hop matrix
 e^{Q·step} comes from the same uniformization as the master-equation
-stepper, so it is non-negative by construction and needs no scipy.
-Only `evolve_master`'s "exponential" method imports scipy's `expm`,
-when it runs, so loading this module loads no scipy.
+stepper, so it is non-negative by construction.  That uniformization
+is the module's one master-equation propagator, and numpy its only
+outside dependency.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "entropy",
 ]
 
-_EXPM_STATE_LIMIT = 64
 _ROW_SUM_TOL = 1e-12
 
 
@@ -251,30 +250,14 @@ def _hop(rates: RateMatrix, t: float) -> np.ndarray:
     return _uniformized_step(rates.values.T, np.eye(rates.size), t).T
 
 
-def evolve_master(
-    rho0: Occupation, rates: RateMatrix, t: float, method: str = "auto"
-) -> Occupation:
-    """Relax ρ̇_k = Σ_l Q_lk ρ_l for time t ≥ 0.
-
-    `method` picks the propagator: "exponential" (dense expm),
-    "stepper" (uniformization, positivity-preserving), or "auto"
-    (exponential up to 64 states, stepper beyond).
-    """
+def evolve_master(rho0: Occupation, rates: RateMatrix, t: float) -> Occupation:
+    """Relax ρ̇_k = Σ_l Q_lk ρ_l for time t ≥ 0 by uniformization, which
+    keeps every occupation non-negative."""
     if t < 0.0:
         raise ValueError("the master equation is irreversible: t must be ≥ 0")
     if rates.size != rho0.values.size:
         raise ValueError("rate matrix and occupation sizes differ")
-    if method == "auto":
-        method = "exponential" if rates.size <= _EXPM_STATE_LIMIT else "stepper"
-    qt = rates.values.T
-    if method == "exponential":
-        from scipy.linalg import expm
-
-        out = expm(qt * t) @ rho0.values
-    elif method == "stepper":
-        out = _uniformized_step(qt, rho0.values.copy(), t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out = _uniformized_step(rates.values.T, rho0.values, t)
     return Occupation(values=np.maximum(out, 0.0))
 
 

@@ -8,7 +8,10 @@ with methods deliberately different from the package's own numerics:
 * brute-force permutation expansions of the plane-wave determinant /
   permanent (O(n!), no linear algebra),
 * a high-resolution midpoint quadrature of the windowed Fourier
-  integral of an analytic Gaussian packet.
+  integral of an analytic Gaussian packet,
+* the dense matrix exponential of the master equation (scipy's
+  scaling-and-squaring Padé `expm`, where the package sums a Poisson
+  series).
 
 None of these import anything from the package under test.
 """
@@ -18,6 +21,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 
 # --------------------------------------------------------------------------
@@ -174,3 +178,13 @@ def windowed_envelope_quadrature(
         x, x_c, p_c, sigma, hbar
     )
     return complex(np.sum(integrand) * h / width)
+
+
+# --------------------------------------------------------------------------
+# dense master-equation propagator
+# --------------------------------------------------------------------------
+
+
+def dense_master(q, rho, t):
+    """ρ(t) = e^{Qᵀt}ρ for the gain–loss master equation with rates `q`."""
+    return expm(q.T * t) @ rho

@@ -6,6 +6,8 @@ triage (0 ok, 1 configuration, 2 numerical), output locations, and
 byte-level idempotence of repeated runs.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -321,9 +323,10 @@ class TestArtifacts:
         assert main(["manybody-check", "--out", str(tmp_path)]) == 0
         table = (tmp_path / "manybody-check" / "residuals.csv").read_text()
         assert capsys.readouterr().out == table
-        lines = table.splitlines()
-        assert lines[0] == "check,detail,residual"
-        residuals = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+        header, *rows = csv.reader(io.StringIO(table))
+        assert header == ["check", "detail", "residual"]
+        assert all(len(row) == 3 for row in rows), rows
+        residuals = [float(row[2]) for row in rows]
         assert len(residuals) == 8
         assert max(residuals) < 1e-8, f"carrier algebra residuals {residuals}"
 

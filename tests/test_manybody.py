@@ -211,12 +211,14 @@ class TestWindowedOrthogonality:
         got = windowed_orthogonality_check(0.8, 0.8, window=32.0, probe_slope=1.3)
         assert abs(got - 1.3) < 1e-8, f"derivative stencil read {got}"
 
-    def test_distinct_carriers_decouple_when_well_separated(self):
-        # 24 beat wavelengths across the window: the bump probe at p_k has
-        # negligible overlap with the carrier at p_m
-        window = 32.0
+    @pytest.mark.parametrize("window", [8.0, 32.0, 200.0])
+    @pytest.mark.parametrize("beats", [24, 100, 400])
+    def test_distinct_carriers_decouple_when_well_separated(self, beats, window):
+        # 24 or more beat wavelengths across the window: the bump probe at
+        # p_k has negligible overlap with the carrier at p_m, however fast
+        # the integrand oscillates
         p_m = 0.5
-        p_k = p_m + 24 * 2 * np.pi / window
+        p_k = p_m + beats * 2 * np.pi / window
         got = windowed_orthogonality_check(p_m, p_k, window=window)
         assert abs(got) < 1e-10, f"separated carriers coupled at {abs(got)}"
 
