@@ -1,7 +1,9 @@
 """semikin: a workbench for watching quantum wave mechanics turn classical.
 
-The package strings together one pipeline in two guises.  A split-step
-solver integrates the Schrödinger equation; a windowed Fourier transform
+The package strings together one pipeline in two guises.  The
+Schrödinger equation is solved exactly in time on a grid (one exact
+kinetic factor when U ≡ 0, one Chebyshev series per call otherwise, after
+Tal-Ezer & Kosloff); a windowed Fourier transform
 compresses the wave into slowly varying envelopes on a coarse (x₀, p₀)
 grid; the squared envelope is a phase-space density that a
 semi-Lagrangian Liouville solver can transport classically; a

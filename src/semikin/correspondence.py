@@ -4,16 +4,18 @@ A scenario describes one physical setup — grid, packets, potential,
 sample times, optionally a collision rate matrix.  `run_correspondence`
 pushes it through both pipelines:
 
-  quantum:    ψ(0) --split-step-→ ψ(tᵢ) --window projection-→ ρ_env(tᵢ)
+  quantum:    ψ(0) --e^{-iHt/ħ}-→ ψ(tᵢ) --window projection-→ ρ_env(tᵢ)
   classical:  ρ_env(0) --Liouville backtrace-------------------→ ρ_cl(tᵢ)
 
-and reports, per sample time, the L1/L2 distance between the two
-phase-space densities, the quantum packet center against the classical
-characteristic, and the mass carried by each branch.  Distances are
-normalized by the initial envelope mass/norm so they read as relative
-errors; the claimed-agreement window is bounded by the dispersion
-horizon t_disp = 2mσ²/ħ, beyond which a tight envelope stops being
-slowly varying and the comparison degrades by construction.
+(e^{-iHt/ħ}: one exact kinetic factor when U ≡ 0, one Chebyshev series
+per call otherwise, after Tal-Ezer & Kosloff) and reports, per sample
+time, the L1/L2 distance between the two phase-space densities, the
+quantum packet center against the classical characteristic, and the
+mass carried by each branch.  Distances are normalized by the initial
+envelope mass/norm so they read as relative errors; the claimed-agreement
+window is bounded by the dispersion horizon t_disp = 2mσ²/ħ, beyond
+which a tight envelope stops being slowly varying and the comparison
+degrades by construction.
 
 `barrier_split_experiment` drives a packet into a barrier, splits the
 late-time envelope into transmitted/reflected lobes by the sign of p

@@ -1,24 +1,18 @@
-"""Split-step spectral solver for the 1-D time-dependent Schrödinger equation.
+"""Spectral solver for the 1-D time-dependent Schrödinger equation.
 
     iħ ∂Ψ/∂t = [ -ħ²/2m ∂²/∂x² + U(x) ] Ψ
 
-on a periodic grid.  One step of size dt applies the Strang composition
+on a periodic grid.  The grid Hamiltonian H = F⁻¹·diag(p²/2m)·F + diag(U)
+does not depend on time, so Ψ(t) = e^{-iHt/ħ}Ψ(0) is applied over the
+whole span of a call, with no time-step error and the norm conserved to
+rounding.  Which kernel runs follows from the potential on the grid:
 
-    Ψ ← e^{-iU dt/2ħ} · F⁻¹ e^{-i p² dt/2mħ} F · e^{-iU dt/2ħ} Ψ,
-
-which is unitary for any dt and second-order accurate in dt.  The
-kinetic factor is exact, so free evolution incurs no splitting error at
-all and the scheme conserves the discrete norm to rounding.  Which
-kernel runs follows from the potential on the grid:
-
-  U ≡ 0 (free):                the half kicks are the identity and the
-                               steps collapse into one exact kinetic
-                               factor e^{-ip²(steps·dt)/2mħ}, one FFT
-                               pair per call;
-  U ≠ 0 (linear, harmonic,     the stepped Strang loop, one FFT pair
-  barrier):                    per step; the closing half kick of each
-                               step and the opening one of the next
-                               are applied as one full kick.
+  U ≡ 0 (free):                one exact kinetic factor e^{-ip²t/2mħ},
+                               one FFT pair per call;
+  U ≠ 0 (linear, harmonic,     one Chebyshev series per call (Tal-Ezer
+  barrier):                    & Kosloff 1984, J. Chem. Phys. 81, 3967),
+                               one FFT pair per term, about ΔE·t/2ħ
+                               terms for the spectral width ΔE of H.
 
 Potentials are small tagged value objects carrying their analytic value
 and derivative; `is_smooth` records whether the classical module may
@@ -222,19 +216,38 @@ def _momenta_fft(grid: SpatialGrid, hbar: float) -> np.ndarray:
     return 2.0 * np.pi * hbar * np.fft.fftfreq(grid.n, d=grid.dx)
 
 
+def _chebyshev_coefficients(alpha: float) -> np.ndarray:
+    """Bessel values J_k(α), k = 0..K, for the Chebyshev series of e^{-iα x}.
+
+    Miller's backward recurrence J_{k-1} = (2k/α)J_k - J_{k+1}, started
+    far above k = α where J_k is negligible, rescaled whenever a value
+    passes 1e250 and normalised by J₀ + 2ΣJ_{2k} = 1 (Abramowitz &
+    Stegun §9.12).  K is the last k with |J_k| ≥ 1e-16.
+    """
+    n = int(alpha + 40.0 * alpha ** (1.0 / 3.0) + 60.0)
+    j = np.zeros(n + 2)
+    j[n] = 1.0
+    for k in range(n, 0, -1):
+        j[k - 1] = (2.0 * k / alpha) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1 :] *= 1e-250
+    j /= j[0] + 2.0 * np.sum(j[2::2])
+    return j[: np.flatnonzero(np.abs(j) >= 1e-16)[-1] + 1]
+
+
 def evolve(
     psi: WaveFunction,
     potential: PotentialSpec,
     dt: float,
     steps: int,
 ) -> WaveFunction:
-    """Advance `psi` by `steps` Strang steps of size dt (dt < 0 reverses).
+    """Advance `psi` by the span steps·dt, exactly in time (dt < 0 reverses).
 
-    When U vanishes on the grid the steps are applied as one exact
-    kinetic factor over steps·dt.  Either way the stability budget
-    |dt|·E_max/ħ < 0.5 with E_max = p_nyq²/2m + max U on the grid is
-    enforced on the given dt, and :class:`NumericalFailure` is raised
-    if the norm drifts by more than 1e-8.
+    One exact kinetic factor when U vanishes on the grid, one Chebyshev
+    series otherwise, so how the span is cut into steps does not matter.
+    The stability budget |dt|·E_max/ħ < 0.5 with E_max = p_nyq²/2m +
+    max|U| on the grid is still enforced on the given dt, and
+    :class:`NumericalFailure` is raised if the norm drifts by more than 1e-8.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -242,7 +255,8 @@ def evolve(
     grid = psi.grid
     p = _momenta_fft(grid, c.hbar)
     v = potential.value(grid.x)
-    e_max = float(np.max(p**2) / (2.0 * c.mass) + np.max(np.abs(v)))
+    kinetic = p**2 / (2.0 * c.mass)
+    e_max = float(np.max(kinetic) + np.max(np.abs(v)))
     if abs(dt) * e_max / c.hbar >= 0.5:
         raise NumericalFailure(
             f"time step too large: |dt|*E_max/hbar = {abs(dt) * e_max / c.hbar:.3g} >= 0.5"
@@ -252,24 +266,36 @@ def evolve(
 
     values = psi.values
     norm_in = l2_norm(psi)
+    tau = steps * dt / c.hbar
     if not np.any(v):
-        # U ≡ 0: the half kicks are the identity, so the Strang steps
-        # collapse into one exact kinetic factor over the whole span
-        kinetic = np.exp(-0.5j * p**2 * (steps * dt) / (c.mass * c.hbar))
-        values = np.fft.ifft(kinetic * np.fft.fft(values))
+        factor = np.exp(-0.5j * p**2 * (steps * dt) / (c.mass * c.hbar))
+        values = np.fft.ifft(factor * np.fft.fft(values))
     else:
-        # adjacent half kicks fuse into one full kick; FFTs write into
-        # `buf` and back into `values` instead of new arrays
-        half_v = np.exp(-0.5j * v * dt / c.hbar)
-        full_v = half_v * half_v
-        kinetic = np.exp(-0.5j * p**2 * dt / (c.mass * c.hbar))
-        values = half_v * values
-        buf = np.empty_like(values)
-        for i in range(steps):
-            np.fft.fft(values, out=buf)
-            buf *= kinetic
-            np.fft.ifft(buf, out=values)
-            values *= half_v if i == steps - 1 else full_v
+        # By Weyl's inequality H's spectrum lies in [lo, hi]; H_n = (H - b)/a
+        # maps it into [-1, 1] with a 1e-3 margin, and e^{-iHτ} = e^{-ibτ}
+        # Σ_k (2 - δ_k0)(∓i)^k J_k(a|τ|) T_k(H_n), − for τ > 0.  The terms
+        # follow φ_{k+1} = 2H_n φ_k - φ_{k-1} in three work arrays, in place.
+        lo, hi = float(np.min(v)), float(np.max(kinetic) + np.max(v))
+        a, b = 0.5 * (hi - lo) * (1.0 + 1e-3), 0.5 * (hi + lo)
+        j = _chebyshev_coefficients(a * abs(tau))
+        phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(j.size) % 4]
+        weights = 2.0 * j * (phases if tau > 0.0 else phases.conj())
+        kinetic2, v2 = kinetic * (2.0 / a), (v - b) * (2.0 / a)
+        prev, cur, buf = np.zeros_like(values), values.copy(), np.empty_like(values)
+        values = 0.5 * weights[0] * values
+        for k in range(1, j.size):
+            np.fft.fft(cur, out=buf)
+            buf *= kinetic2
+            np.fft.ifft(buf, out=buf)
+            buf -= prev
+            np.multiply(v2, cur, out=prev)
+            prev += buf
+            if k == 1:
+                prev *= 0.5  # φ₁ = H_n φ₀ has no factor 2
+            prev, cur = cur, prev
+            np.multiply(cur, weights[k], out=buf)
+            values += buf
+        values *= np.exp(-1j * b * tau)
     out = WaveFunction(
         grid=grid, values=values, time=psi.time + steps * dt, constants=c
     )

@@ -11,7 +11,10 @@ with methods deliberately different from the package's own numerics:
   integral of an analytic Gaussian packet,
 * the dense matrix exponential of the master equation (scipy's
   scaling-and-squaring Padé `expm`, where the package sums a Poisson
-  series).
+  series),
+* the Schrödinger propagator on a spatial grid from the eigenvectors of
+  the dense grid Hamiltonian (where the package sums a Chebyshev series
+  of FFT-applied Hamiltonians).
 
 None of these import anything from the package under test.
 """
@@ -188,3 +191,26 @@ def windowed_envelope_quadrature(
 def dense_master(q, rho, t):
     """ρ(t) = e^{Qᵀt}ρ for the gain–loss master equation with rates `q`."""
     return expm(q.T * t) @ rho
+
+
+# --------------------------------------------------------------------------
+# dense grid Schrödinger propagator
+# --------------------------------------------------------------------------
+
+
+def grid_propagator(values, p, v, t, mass, hbar):
+    """ψ(t) = e^{-iHt/ħ}ψ for H = F⁻¹·diag(p²/2m)·F + diag(V) on the grid.
+
+    `p` holds the momenta in DFT order, one per grid point, and `v` the
+    potential at the grid points.  F is the explicit DFT matrix; H is
+    diagonalised with `eigh`, so the cost is O(n³), not one FFT pair per
+    term.
+    """
+    n = len(values)
+    idx = np.arange(n)
+    dft = np.exp(-2j * math.pi * np.outer(idx, idx) / n)
+    kinetic = (dft.conj().T * (np.asarray(p) ** 2 / (2.0 * mass))) @ dft / n
+    h = kinetic + np.diag(np.asarray(v, dtype=float))
+    energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    phases = np.exp(-1j * energies * t / hbar)
+    return vectors @ (phases * (vectors.conj().T @ values))
