@@ -71,7 +71,6 @@ __all__ = [
     "save_envelope",
     "save_wavefunction",
     "save_rate_matrix",
-    "load_rate_matrix",
     "save_correspondence_report",
     "save_kinetic_report",
     "load_scenario",
@@ -214,18 +213,6 @@ def save_rate_matrix(
             }
         ),
     )
-
-
-def load_rate_matrix(base: Path) -> tuple[RateMatrix, np.ndarray, float]:
-    base = Path(base)
-    try:
-        values = np.loadtxt(base.with_suffix(".csv"), delimiter=",", ndmin=2)
-        sidecar = json.loads(base.with_suffix(".json").read_text())
-        rates = RateMatrix(values=values, eta=float(sidecar["eta"]))
-        energies = np.asarray(sidecar["energies"], dtype=float)
-        return rates, energies, float(sidecar["hbar"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise ScenarioError(f"cannot load rate matrix from {base}: {exc}") from exc
 
 
 def save_correspondence_report(report: CorrespondenceReport, outdir: Path) -> None:

@@ -12,11 +12,12 @@ gain–loss master equation ρ̇_k = Σ_l Q_lk ρ_l conserves probability and,
 for symmetric rates, increases −Σρlnρ monotonically.
 
 `boltzmann_samples` assembles the full transport: free streaming in
-phase space (Strang half-steps of the Liouville engine, all served by
-one `liouville.TransportStencil` per sample interval) interleaved with
-the momentum-space master relaxation applied independently at every
-spatial cell.  Without rates it is `liouville_samples`, decided there
-alone; `evolve_boltzmann` is its one-sample case.  Its hop matrix
+phase space (Strang half-steps of the Liouville engine on plain arrays,
+all served by one `liouville.TransportStencil` per sample interval)
+interleaved with the momentum-space master relaxation applied
+independently at every spatial cell; each sample is validated once.
+Without rates it is `liouville_samples`, decided there alone;
+`evolve_boltzmann` is its one-sample case.  Its hop matrix
 e^{Q·step} comes from the same uniformization as the master-equation
 stepper, so it is non-negative by construction.  That uniformization
 is the module's one master-equation propagator, and numpy its only
@@ -361,10 +362,14 @@ def boltzmann_samples(
     to rounding.  Every half-step of an interval moves by the same
     step/2 on the same grid, so one backtrace of the node mesh (one
     Verlet step where there is no closed form) builds one
-    `TransportStencil` that serves them all, bit for bit what a fresh
-    `evolve_liouville` per half-step gives, leak check and validation
-    included.  With no rates (None or all zero) the samples are those of
-    `liouville_samples` — identically, not approximately.  Collisions
+    `TransportStencil` that moves the value arrays of them all, bit for
+    bit what a fresh `evolve_liouville` per half-step gives, leak check
+    included.  Only the samples are built, and so validated, as
+    densities; no failure is lost, since every half-step is a convex
+    combination of finite non-negative values and the hop, non-negative
+    and row-stochastic, is clipped at 0.  With no rates (None or all
+    zero) the samples are those of `liouville_samples` — identically,
+    not approximately.  Collisions
     are irreversible, so the times, from t = 0 on, must not decrease.
     """
     if np.any(np.diff(times, prepend=0.0) < 0.0):
@@ -374,21 +379,19 @@ def boltzmann_samples(
         return
     if rates.size != f0.grid.p_centers.size:
         raise ValueError("rate matrix must live on the density's momentum cells")
-    f, t_prev = f0, 0.0
+    values, time, t_prev = f0.values, f0.time, 0.0
     for t in times:
         if t > t_prev:
             steps = _step_count(t - t_prev, t - t_prev if dt is None else dt)
             step = (t - t_prev) / steps
             # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
             hop = _hop(rates, step)
-            half = TransportStencil.backtrace(f.grid, hamiltonian, 0.5 * step, periodic_x)
+            half = TransportStencil.backtrace(f0.grid, hamiltonian, 0.5 * step, periodic_x)
             for _ in range(steps):
-                f = half(f)
-                mixed = np.maximum(f.values @ hop, 0.0)
-                f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
-                f = half(f)
+                values = half.move(np.maximum(half.move(values) @ hop, 0.0))
+                time = (time + half.t) + half.t
             t_prev = t
-        yield f
+        yield PhaseSpaceDensity(grid=f0.grid, values=values, time=time)
 
 
 def evolve_boltzmann(

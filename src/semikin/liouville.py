@@ -6,10 +6,11 @@ semi-Lagrangian: every target cell center is traced *backwards* through
 the flow and the initial density is read off there with a single
 bilinear interpolation — no resampling noise, positivity preserved,
 measure conserved up to the interpolation bound.  The interpolation is
-a `TransportStencil`: gather indices and weights built once from the
-feet, so densities that all move by the same interval (the Strang
-half-steps of `kinetics.boltzmann_samples`) share one backtrace and one
-stencil.  Which flow kernel runs follows from the potential:
+a `TransportStencil`: a gather index array and weight array, (4, nx, np)
+each, plus a leak plane where feet leave an open edge, all built once
+from the feet, so density arrays that all move by the same interval (the
+Strang half-steps of `kinetics.boltzmann_samples`) share one backtrace
+and one stencil.  Which flow kernel runs follows from the potential:
 
   free, linear, harmonic:  the potential's closed-form `flow`, exact in
                            one call for any t (the feet of every sample
@@ -138,65 +139,39 @@ def _nodes(grid: PhaseSpaceGrid):
 
 
 def _axis_corners(frac, n: int, periodic: bool):
-    """Lower/upper neighbour indices and upper weight for one axis.
+    """(index, weight) of the lower and the upper neighbour on one axis.
 
-    Open axes return raw indices that may fall outside [0, n); the caller
-    masks those corners to a zero contribution.
+    On an open axis a neighbour off the edge has weight 0 and an index
+    clipped onto the grid.
     """
     i0 = np.floor(frac).astype(np.int64)
     w = frac - i0
+    neighbours = ((i0, 1.0 - w), (i0 + 1, w))
     if periodic:
-        return i0 % n, (i0 + 1) % n, w
-    return i0, i0 + 1, w
+        return [(i % n, wi) for i, wi in neighbours]
+    return [(np.clip(i, 0, n - 1), wi * ((i >= 0) & (i < n))) for i, wi in neighbours]
 
 
 def _corners(fx, fp, shape, periodic_x: bool):
-    """(flat index, in-range mask, weight) of the four bilinear corners.
+    """(flat index, weight) of the four bilinear corners, each (4, nx, np).
 
     The corners come in `_gather`'s summation order, so a stencil read
     has the bits of evaluating the bilinear formula in one expression.
     """
     nx, np_ = shape
-    ax, bx, wx = _axis_corners(fx, nx, periodic_x)
-    ap, bp, wp = _axis_corners(fp, np_, False)
-    corners = []
-    for ix, ip, w in (
-        (ax, ap, (1.0 - wx) * (1.0 - wp)),
-        (bx, ap, wx * (1.0 - wp)),
-        (ax, bp, (1.0 - wx) * wp),
-        (bx, bp, wx * wp),
-    ):
-        ok = (ip >= 0) & (ip < np_)
-        if not periodic_x:
-            ok &= (ix >= 0) & (ix < nx)
-        flat = np.clip(ix, 0, nx - 1) * np_ + np.clip(ip, 0, np_ - 1)
-        corners.append((flat, ok, w))
-    return tuple(corners)
+    index = np.empty((4, nx, np_), dtype=np.int64)
+    weight = np.empty((4, nx, np_))
+    xs = _axis_corners(fx, nx, periodic_x)
+    ps = _axis_corners(fp, np_, False)
+    for k, ((ix, wx), (ip, wp)) in enumerate((x, p) for p in ps for x in xs):
+        index[k] = ix * np_ + ip
+        weight[k] = wx * wp
+    return index, weight
 
 
-def _gather(corners, values: np.ndarray) -> np.ndarray:
-    """Bilinear read of `values` at the feet `corners` was built from."""
-    flat = values.ravel()
-    c00, c10, c01, c11 = (w * np.where(ok, flat.take(i), 0.0) for i, ok, w in corners)
-    return c00 + c10 + c01 + c11
-
-
-def _leaked_fraction(values: np.ndarray, penetration, edge) -> float:
-    """Mass fraction a backtrace would pull from beyond the open boundary.
-
-    Feet that exit the hull read ρ = 0; the data they *should* have read
-    is estimated by ρ₀ at the hull-clipped foot, weighted by how deep
-    the foot penetrates (in cells, capped at one).  Feet that merely
-    graze the hull by rounding noise therefore contribute ~nothing.
-    `penetration` and the corners `edge` of the clipped feet depend only
-    on the feet; both are None when no foot leaves the grid.
-    """
-    if penetration is None:
-        return 0.0
-    total = float(np.sum(values))
-    if total <= 0.0:
-        return 0.0
-    return float(np.sum(penetration * _gather(edge, values)) / total)
+def _gather(index, weight, values: np.ndarray) -> np.ndarray:
+    """Bilinear read of `values` at the feet `index` and `weight` came from."""
+    return np.sum(weight * values.ravel().take(index), axis=0)
 
 
 @dataclass(frozen=True)
@@ -204,19 +179,23 @@ class TransportStencil:
     """ρ ↦ ρ(Φ₋ₜ(z)) on one grid as a precomputed bilinear gather.
 
     Built once from the backtrace feet of the node mesh, it holds the
-    four corners of every foot (`_corners`) and the feet-only part of
-    the leak check (`_leaked_fraction`'s penetration depth and clipped
-    corners).  Calling it on a density runs the mass-weighted part of
-    the leak check, then the gather, and validates the result, so any
-    number of densities moved by the same t on the same grid get the
-    checks and the bits of one fresh transport each.
+    four corners of every foot (`_corners`) and, when a foot leaves an
+    open edge, the `leak` plane: how much each node's ρ counts towards
+    the mass a backtrace would pull from beyond the boundary.  Feet that
+    exit the hull read ρ = 0; the data they *should* have read is
+    estimated by ρ at the hull-clipped foot, weighted by how deep the
+    foot penetrates (in cells, capped at one), so feet that merely graze
+    the hull by rounding noise contribute ~nothing.  `move` runs the
+    leak check on a density's values and then the gather, so any number
+    of densities moved by the same t on the same grid get the check and
+    the bits of one fresh transport each.
     """
 
     grid: PhaseSpaceGrid
     t: float
-    corners: tuple
-    penetration: np.ndarray | None
-    edge: tuple | None
+    index: np.ndarray
+    weight: np.ndarray
+    leak: np.ndarray | None
 
     @classmethod
     def at_feet(
@@ -233,13 +212,16 @@ class TransportStencil:
         if not periodic_x:
             pen = pen + np.maximum(np.maximum(-fx, fx - (nx - 1)), 0.0)
         pen = np.minimum(pen, 1.0)
-        corners = _corners(fx, fp, grid.shape, periodic_x)
+        index, weight = _corners(fx, fp, grid.shape, periodic_x)
         if not np.any(pen > 0.0):
-            return cls(grid, t, corners, None, None)
-        edge = _corners(
+            return cls(grid, t, index, weight, None)
+        edge_index, edge_weight = _corners(
             np.clip(fx, 0.0, nx - 1.0), np.clip(fp, 0.0, np_ - 1.0), grid.shape, periodic_x
         )
-        return cls(grid, t, corners, pen, edge)
+        leak = np.bincount(
+            edge_index.ravel(), (pen * edge_weight).ravel(), minlength=nx * np_
+        ).reshape(grid.shape)
+        return cls(grid, t, index, weight, leak)
 
     @classmethod
     def backtrace(
@@ -254,8 +236,20 @@ class TransportStencil:
         feet = flow_map(*_nodes(grid), -t, abs(t), hamiltonian)
         return cls.at_feet(grid, feet, t, periodic_x)
 
+    def move(self, values: np.ndarray) -> np.ndarray:
+        """ρ values transported over t, after the leak check on their mass."""
+        if self.leak is not None:
+            total = float(np.sum(values))
+            leaked = float(np.sum(self.leak * values)) / total if total > 0.0 else 0.0
+            if leaked > _BOUNDARY_MASS_TOL:
+                raise NumericalFailure(
+                    f"backtrace leaves the grid across boundary cells holding"
+                    f" {leaked:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
+                )
+        return _gather(self.index, self.weight, values)
+
     def __call__(self, rho: PhaseSpaceDensity) -> PhaseSpaceDensity:
-        """ρ transported over t, after the leak check on its mass.
+        """ρ transported over t by `move`, as a validated density.
 
         The feet belong to `self.grid`, so `rho` must live on that very
         grid object; a grid of the same shape but other centres or
@@ -263,14 +257,8 @@ class TransportStencil:
         """
         if rho.grid is not self.grid:
             raise ValueError("density is not on the stencil's grid")
-        leak = _leaked_fraction(rho.values, self.penetration, self.edge)
-        if leak > _BOUNDARY_MASS_TOL:
-            raise NumericalFailure(
-                f"backtrace leaves the grid across boundary cells holding"
-                f" {leak:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
-            )
         return PhaseSpaceDensity(
-            grid=self.grid, values=_gather(self.corners, rho.values), time=rho.time + self.t
+            grid=self.grid, values=self.move(rho.values), time=rho.time + self.t
         )
 
 

@@ -35,8 +35,6 @@ import numpy as np
 __all__ = [
     "CarrierState",
     "EnvelopeFunctionND",
-    "carrier_value",
-    "minor_value",
     "kinetic_cross_term_check",
     "position_minor_identity_check",
     "windowed_orthogonality_check",
@@ -129,28 +127,6 @@ def _carrier_matrix(state: CarrierState, xs, hbar: float) -> np.ndarray:
     if xs.size != state.n:
         raise ValueError(f"expected {state.n} coordinates, got {xs.size}")
     return np.exp(1j * np.outer(state.momenta, xs) / hbar)
-
-
-def carrier_value(state: CarrierState, xs, hbar: float = 1.0) -> complex:
-    """(1/n!)·Det[φ_k(x_l)] (fermions) or the permanent analog (bosons)."""
-    matrix = _carrier_matrix(state, xs, hbar)
-    return _det_or_perm(matrix, state.statistics) / math.factorial(state.n)
-
-
-def minor_value(state: CarrierState, xs, i: int, j: int, hbar: float = 1.0) -> complex:
-    """Minor M_ij: the carrier matrix with row i and column j erased.
-
-    Rows index momenta, columns index coordinates, both 0-based; no 1/n!
-    prefactor.  Needs n ≥ 2.
-    """
-    n = state.n
-    if n < 2:
-        raise ValueError("minors need at least two particles")
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"minor indices ({i}, {j}) out of range for n={n}")
-    matrix = _carrier_matrix(state, xs, hbar)
-    reduced = np.delete(np.delete(matrix, i, axis=0), j, axis=1)
-    return _det_or_perm(reduced, state.statistics)
 
 
 def kinetic_cross_term_check(

@@ -18,7 +18,7 @@ import pytest
 
 import semikin
 from semikin.cli import OUTPUT_ROOT_ENV, main
-from semikin.io import load_rate_matrix
+from semikin.kinetics import RateMatrix
 
 from conftest import run_probe
 
@@ -305,9 +305,11 @@ class TestArtifacts:
         assert names == [
             "current.csv", "final_density.csv", "histories.csv", "rates.csv", "rates.json",
         ]
-        rates, energies, hbar = load_rate_matrix(outdir / "rates")
-        assert rates.size == 15 and rates.eta == 0.2 and hbar == 1.0
-        assert energies.size == 15
+        sidecar = json.loads((outdir / "rates.json").read_text())
+        values = np.loadtxt(outdir / "rates.csv", delimiter=",", ndmin=2)
+        rates = RateMatrix(values=values, eta=sidecar["eta"])
+        assert rates.size == 15 and rates.eta == 0.2 and sidecar["hbar"] == 1.0
+        assert len(sidecar["energies"]) == 15
 
     def test_manybody_check_seed_moves_the_probe_points(self, tmp_path, capsys):
         assert main(["manybody-check", "--out", str(tmp_path / "a")]) == 0

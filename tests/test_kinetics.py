@@ -497,3 +497,22 @@ class TestEvolveBoltzmann:
         rho0 = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
         evolve_boltzmann(rho0, VERLET_TRAP, shell_rates(g.p_centers), 1.0, dt=0.125)
         assert calls == [-0.0625]
+
+    def test_one_validated_density_per_sample(self, constants, monkeypatch):
+        # the half-steps move plain arrays; only the yielded samples are
+        # built, and so validated, as densities
+        g = square_grid(32, 8.0, constants)
+        rho0 = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
+        rates = shell_rates(g.p_centers)
+        built = []
+        post_init = PhaseSpaceDensity.__post_init__
+
+        def counted(self):
+            built.append(self.time)
+            post_init(self)
+
+        monkeypatch.setattr(PhaseSpaceDensity, "__post_init__", counted)
+        times = (0.25, 0.5, 1.0)
+        samples = list(boltzmann_samples(rho0, VERLET_TRAP, rates, times, dt=0.125))
+        assert [rho.time for rho in samples] == built
+        assert len(built) == len(times)

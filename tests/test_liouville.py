@@ -299,7 +299,7 @@ class TestTransportStencil:
         g = square_grid(48, 8.0, constants)
         rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
         stencil = TransportStencil.backtrace(g, hamiltonian, 0.7, periodic_x=periodic_x)
-        assert stencil.penetration is not None
+        assert stencil.leak is not None
         nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
         feet_x, feet_p = flow_map(*nodes, -0.7, 0.7, hamiltonian)
         fx = (feet_x - g.x_centers[0]) / g.window_width
@@ -307,6 +307,31 @@ class TestTransportStencil:
         out = stencil(rho0)
         assert out.time == 0.7
         assert np.array_equal(out.values, bilinear(rho0.values, fx, fp, periodic_x))
+
+    def test_leak_is_the_depth_weighted_read_at_the_clipped_feet(self, constants):
+        # a foot off the open grid should have read ρ near the hull: the
+        # leak is ρ at the foot clipped onto the hull, weighted by how
+        # many cells deep (at most one) the foot lies outside
+        g = square_grid(64, 8.0, constants)
+        stencil = TransportStencil.backtrace(g, TRAP, 0.9)
+        nx, np_ = g.shape
+        nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
+        feet_x, feet_p = flow_map(*nodes, -0.9, 0.9, TRAP)
+        fx = (feet_x - g.x_centers[0]) / g.window_width
+        fp = (feet_p - g.p_centers[0]) / g.p_spacing
+        outside = np.maximum(np.maximum(-fx, fx - (nx - 1)), 0.0)
+        outside += np.maximum(np.maximum(-fp, fp - (np_ - 1)), 0.0)
+        depth = np.minimum(outside, 1.0)
+        clipped_x, clipped_p = np.clip(fx, 0.0, nx - 1.0), np.clip(fp, 0.0, np_ - 1.0)
+        fractions = []
+        for rho in (gaussian_blob(g, 1.0, -0.5, 1.0, 0.8), gaussian_blob(g, 2.0, 0.0, 1.2, 1.2)):
+            edge = bilinear(rho.values, clipped_x, clipped_p, periodic_x=False)
+            expected = np.sum(depth * edge) / np.sum(rho.values)
+            got = np.sum(stencil.leak * rho.values) / np.sum(rho.values)
+            assert abs(got - expected) <= 1e-14 * expected
+            fractions.append(expected)
+        # the first blob passes the 1e-6 leak check, the second fails it
+        assert 0.0 < fractions[0] < 1e-6 < fractions[1]
 
     def test_checks_every_density_it_moves(self, constants):
         g = square_grid(64, 8.0, constants)

@@ -17,9 +17,9 @@ import pytest
 from semikin.manybody import (
     CarrierState,
     EnvelopeFunctionND,
-    carrier_value,
+    _carrier_matrix,
+    _det_or_perm,
     kinetic_cross_term_check,
-    minor_value,
     position_minor_identity_check,
     windowed_orthogonality_check,
 )
@@ -36,6 +36,18 @@ def sum_gaussian():
         ),
         symmetric=True,
     )
+
+
+def carrier_value(state, xs):
+    """(1/n!)·Det[φ_k(x_l)] (fermions) or the permanent analog (bosons)."""
+    matrix = _carrier_matrix(state, xs, 1.0)
+    return _det_or_perm(matrix, state.statistics) / math.factorial(state.n)
+
+
+def minor_value(state, xs, i, j):
+    """The carrier matrix's determinant or permanent with row i and column j erased."""
+    reduced = np.delete(np.delete(_carrier_matrix(state, xs, 1.0), i, axis=0), j, axis=1)
+    return _det_or_perm(reduced, state.statistics)
 
 
 class TestCarrierState:
@@ -111,15 +123,6 @@ class TestMinors:
             total += sign * matrix[i, j] * minor_value(state, xs, i, j)
         psi = carrier_value(state, xs)
         assert abs(total / math.factorial(3) - psi) / abs(psi) < 1e-12
-
-    def test_needs_two_particles(self):
-        with pytest.raises(ValueError):
-            minor_value(CarrierState(statistics="boson", momenta=(1.0,)), [0.0], 0, 0)
-
-    def test_index_bounds(self):
-        state = CarrierState(statistics="fermion", momenta=(0.1, 0.9))
-        with pytest.raises(IndexError):
-            minor_value(state, [0.0, 1.0], 2, 0)
 
 
 class TestKineticCrossTerm:
@@ -204,6 +207,18 @@ class TestPositionMinorIdentity:
         state = CarrierState(statistics="fermion", momenta=(0.1, 0.9))
         with pytest.raises(IndexError):
             position_minor_identity_check(state, [0.0, 1.0], 5)
+
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    def test_single_particle_cofactor_is_the_empty_minor(self, statistics):
+        # n = 1 erases the only row and column; the empty det/permanent is 1
+        state = CarrierState(statistics=statistics, momenta=(0.9,))
+        resid = position_minor_identity_check(state, [1.7], 0)
+        assert resid < 1e-12, f"cofactor residual {resid}"
+
+    def test_one_coordinate_per_particle(self):
+        state = CarrierState(statistics="fermion", momenta=(0.1, 0.9))
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            position_minor_identity_check(state, [0.0, 1.0, 2.0], 0)
 
 
 class TestWindowedOrthogonality:
