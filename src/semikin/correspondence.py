@@ -85,10 +85,10 @@ class PacketSpec:
 class Scenario:
     """A complete, self-consistent experiment description.
 
-    Grid parameters mirror the constructors in `core`; `dt` is the
-    quantum solver step and the Verlet substep of a classical flow with
-    no closed form (free evolution and closed-form flows take no steps,
-    but `dt` still passes their stability and step-count checks).  The
+    Grid parameters mirror the constructors in `core`.  `dt` is the step
+    the quantum stability budget binds, the Verlet substep of a flow with
+    no closed form and the bound on a collisional Strang step; exact
+    propagators take no steps but still pass the step-count check.  The
     grids are built once at construction, so an inconsistent scenario
     fails immediately with `ScenarioError`, and so does one whose last
     sample lies more than 10⁷ steps of `dt` away.
@@ -264,14 +264,13 @@ def prepare(
 
 
 def quantum_samples(scenario: Scenario):
-    """Yield ψ(tᵢ) at every sample time, advancing incrementally."""
+    """Yield ψ(tᵢ) at every sample time: one `evolve` per interval, at step `scenario.dt`."""
     psi = scenario.initial_wavefunction()
     t_prev = 0.0
     for t_i in scenario.sample_times:
         delta = t_i - t_prev
         if delta > 0.0:
-            steps = max(1, int(round(delta / scenario.dt)))
-            psi = evolve(psi, scenario.potential, delta / steps, steps)
+            psi = evolve(psi, scenario.potential, delta, scenario.dt)
         t_prev = t_i
         yield psi
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhaseSpaceDensity, PhaseSpaceGrid
-from .schrodinger import PotentialSpec, WaveFunction, _momenta_fft
+from .schrodinger import PotentialSpec, WaveFunction, _spectrum
 
 __all__ = [
     "EnvelopeField",
@@ -169,8 +169,7 @@ def scale_check(psi: WaveFunction, grid: PhaseSpaceGrid) -> ScaleReport:
     unsatisfiable carrier ratio rather than an error.
     """
     c = psi.constants
-    spectral = np.abs(np.fft.fft(psi.values)) ** 2
-    p_fft = _momenta_fft(psi.grid, c.hbar)
+    p_fft, spectral = _spectrum(psi)
     total = float(np.sum(spectral))
     p_bar = float(np.sum(np.abs(p_fft) * spectral) / total) if total > 0 else 0.0
 

@@ -264,7 +264,10 @@ def save_kinetic_report(
 
 
 def _flag(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"{text!r} is not a flag: use 1/true/yes or 0/false/no")
+    return word in ("1", "true", "yes")
 
 
 def _floats_list(text: str) -> tuple[float, ...]:

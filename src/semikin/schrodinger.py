@@ -3,9 +3,10 @@
     iħ ∂Ψ/∂t = [ -ħ²/2m ∂²/∂x² + U(x) ] Ψ
 
 on a periodic grid.  The grid Hamiltonian H = F⁻¹·diag(p²/2m)·F + diag(U)
-does not depend on time, so Ψ(t) = e^{-iHt/ħ}Ψ(0) is applied over the
-whole span of a call, with no time-step error and the norm conserved to
-rounding.  Which kernel runs follows from the potential on the grid:
+does not depend on time, so `evolve` applies Ψ(t) = e^{-iHt/ħ}Ψ(0) over
+the whole span t, with no time-step error and the norm conserved to
+rounding; its step dt only binds the stability budget.  Which kernel
+runs follows from the potential on the grid:
 
   U ≡ 0 (free):                one exact kinetic factor e^{-ip²t/2mħ},
                                one FFT pair per call;
@@ -216,6 +217,11 @@ def _momenta_fft(grid: SpatialGrid, hbar: float) -> np.ndarray:
     return 2.0 * np.pi * hbar * np.fft.fftfreq(grid.n, d=grid.dx)
 
 
+def _spectrum(psi: WaveFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT momenta p and the unnormalised power |ψ̂(p)|² of ψ."""
+    return _momenta_fft(psi.grid, psi.constants.hbar), np.abs(np.fft.fft(psi.values)) ** 2
+
+
 def _chebyshev_coefficients(alpha: float) -> np.ndarray:
     """Bessel values J_k(α), k = 0..K, for the Chebyshev series of e^{-iα x}.
 
@@ -238,19 +244,17 @@ def _chebyshev_coefficients(alpha: float) -> np.ndarray:
 def evolve(
     psi: WaveFunction,
     potential: PotentialSpec,
+    t: float,
     dt: float,
-    steps: int,
 ) -> WaveFunction:
-    """Advance `psi` by the span steps·dt, exactly in time (dt < 0 reverses).
+    """Advance `psi` by the span t, exactly in time (t < 0 reverses).
 
     One exact kinetic factor when U vanishes on the grid, one Chebyshev
-    series otherwise, so how the span is cut into steps does not matter.
-    The stability budget |dt|·E_max/ħ < 0.5 with E_max = p_nyq²/2m +
-    max|U| on the grid is still enforced on the given dt, and
-    :class:`NumericalFailure` is raised if the norm drifts by more than 1e-8.
+    series otherwise, so the result depends on t alone.  The step dt
+    binds the stability budget |dt|·E_max/ħ < 0.5, E_max = p_nyq²/2m +
+    max|U| on the grid; :class:`NumericalFailure` is raised when it
+    fails or when the norm drifts by more than 1e-8.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
     c = psi.constants
     grid = psi.grid
     p = _momenta_fft(grid, c.hbar)
@@ -261,14 +265,14 @@ def evolve(
         raise NumericalFailure(
             f"time step too large: |dt|*E_max/hbar = {abs(dt) * e_max / c.hbar:.3g} >= 0.5"
         )
-    if steps == 0:
+    if t == 0:
         return psi
 
     values = psi.values
     norm_in = l2_norm(psi)
-    tau = steps * dt / c.hbar
+    tau = t / c.hbar
     if not np.any(v):
-        factor = np.exp(-0.5j * p**2 * (steps * dt) / (c.mass * c.hbar))
+        factor = np.exp(-0.5j * p**2 * t / (c.mass * c.hbar))
         values = np.fft.ifft(factor * np.fft.fft(values))
     else:
         # By Weyl's inequality H's spectrum lies in [lo, hi]; H_n = (H - b)/a
@@ -296,9 +300,7 @@ def evolve(
             np.multiply(cur, weights[k], out=buf)
             values += buf
         values *= np.exp(-1j * b * tau)
-    out = WaveFunction(
-        grid=grid, values=values, time=psi.time + steps * dt, constants=c
-    )
+    out = WaveFunction(grid=grid, values=values, time=psi.time + t, constants=c)
     drift = abs(l2_norm(out) - norm_in) / norm_in
     if not np.isfinite(drift) or drift > _NORM_DRIFT_TOL:
         raise NumericalFailure(f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL}")
@@ -312,17 +314,14 @@ def expectation_x(psi: WaveFunction) -> float:
 
 def expectation_p(psi: WaveFunction) -> float:
     """⟨p⟩ evaluated spectrally (exact for band-limited states)."""
-    p = _momenta_fft(psi.grid, psi.constants.hbar)
-    w = np.abs(np.fft.fft(psi.values)) ** 2
+    p, w = _spectrum(psi)
     return float(np.sum(p * w) / np.sum(w))
 
 
 def energy(psi: WaveFunction, potential: PotentialSpec) -> float:
     """⟨T⟩ + ⟨U⟩ with the kinetic part summed in momentum space."""
-    c = psi.constants
-    p = _momenta_fft(psi.grid, c.hbar)
-    w = np.abs(np.fft.fft(psi.values)) ** 2
-    kinetic = float(np.sum(p**2 / (2.0 * c.mass) * w) / np.sum(w))
+    p, w = _spectrum(psi)
+    kinetic = float(np.sum(p**2 / (2.0 * psi.constants.mass) * w) / np.sum(w))
     dens = np.abs(psi.values) ** 2
     pot = float(np.sum(potential.value(psi.grid.x) * dens) / np.sum(dens))
     return kinetic + pot

@@ -12,6 +12,9 @@ with methods deliberately different from the package's own numerics:
 * the dense matrix exponential of the master equation (scipy's
   scaling-and-squaring Padé `expm`, where the package sums a Poisson
   series),
+* the same exponential, one per spatial wavenumber, for streaming plus
+  collisions on a force-free periodic ring (where the package alternates
+  semi-Lagrangian transport and master-equation hops),
 * the Schrödinger propagator on a spatial grid from the eigenvectors of
   the dense grid Hamiltonian (where the package sums a Chebyshev series
   of FFT-applied Hamiltonians).
@@ -191,6 +194,21 @@ def windowed_envelope_quadrature(
 def dense_master(q, rho, t):
     """ρ(t) = e^{Qᵀt}ρ for the gain–loss master equation with rates `q`."""
     return expm(q.T * t) @ rho
+
+
+def ring_boltzmann(values, q, velocity, window_width, t):
+    """f(t) for ∂f/∂t + v ∂f/∂x = (collisions with rates `q`) on a periodic ring.
+
+    `values` holds f(x, p) with x along axis 0 at spacing `window_width`
+    and one momentum cell per column, streaming at `velocity`.  With no
+    force each spatial Fourier mode f̂_k(p) evolves on its own, as the row
+    vector f̂_k(t) = f̂_k(0)·e^{t(Q - ik·diag(v))}.
+    """
+    f_hat = np.fft.fft(np.asarray(values, dtype=float), axis=0)
+    k = 2.0 * math.pi * np.fft.fftfreq(f_hat.shape[0], d=window_width)
+    drift = np.diag(np.asarray(velocity, dtype=float))
+    out = np.stack([row @ expm(t * (q - 1j * kk * drift)) for row, kk in zip(f_hat, k)])
+    return np.fft.ifft(out, axis=0).real
 
 
 # --------------------------------------------------------------------------

@@ -29,13 +29,14 @@ from semikin.correspondence import (
     run_correspondence,
 )
 from semikin.envelope import ScaleReport
-from semikin.errors import ScenarioError
+from semikin.errors import NumericalFailure, ScenarioError
 from semikin.io import load_scenario
 from semikin.kinetics import evolve_boltzmann
 from semikin.liouville import _step_count
 from semikin.schrodinger import FreePotential
 
 from conftest import VerletOnly
+from oracles import ring_boltzmann
 
 SCENARIO_DIR = Path(semikin.__file__).parent / "scenarios"
 
@@ -112,6 +113,21 @@ class TestQuantumSamples:
         assert [psi.time for psi in psis] == [0.0, 16.0]
         for psi in psis:
             assert abs(l2_norm(psi) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "dt, last, admissible",
+        # dx = 1 puts the budget |dt|·E_max/ħ < 0.5 at dt < 0.1013; an
+        # interval that is not a whole number of dt must not move it
+        [(0.1, 0.14, True), (0.11, 0.29, False)],
+        ids=["inside", "outside"],
+    )
+    def test_the_budget_binds_the_scenario_dt(self, dt, last, admissible):
+        scenario = dataclasses.replace(tiny_scenario(sample_times=(0.0, last)), dt=dt)
+        if admissible:
+            assert [psi.time for psi in quantum_samples(scenario)] == [0.0, last]
+        else:
+            with pytest.raises(NumericalFailure, match="time step too large"):
+                list(quantum_samples(scenario))
 
 
 class TestReportValidation:
@@ -279,6 +295,47 @@ class TestKineticScenario:
         assert j_start > 1e-4, "scenario should start with a real drift"
         assert j_end < j_start / 20.0, f"current only decayed {j_start / j_end:.1f}x"
         assert np.all(np.diff(report.entropy) >= -1e-12)
+
+
+def _ring_run(ini, collisional, flip=1.0):
+    """The kinetic report of a bundled ring scenario, with or without its
+    rates, and the ring oracle's density at each of its sample times."""
+    scenario = load_scenario(SCENARIO_DIR / ini)
+    if not collisional:
+        scenario = dataclasses.replace(scenario, rates=None)
+    report = kinetic_scenario(scenario)
+    f0 = report.densities[0]
+    grid = f0.grid
+    n_p = grid.p_centers.size
+    q = scenario.rates.values if collisional else np.zeros((n_p, n_p))
+    velocity = flip * grid.p_centers / grid.constants.mass
+    exact = [ring_boltzmann(f0.values, q, velocity, grid.window_width, t) for t in report.times]
+    return report, exact
+
+
+def _relative_l1(f, exact):
+    return float(np.sum(np.abs(f - exact)) / np.sum(np.abs(exact)))
+
+
+@pytest.mark.parametrize("ini", ["relaxation.ini", "drifting_relaxation.ini"])
+class TestRingOracle:
+    """Free streaming plus collisions on the periodic ring against one
+    matrix exponential per spatial wavenumber, from the same f(0)."""
+
+    @pytest.mark.parametrize("collisional, bound", [(True, 0.13), (False, 0.015)])
+    def test_kinetics_follows_the_exact_ring_solution(self, ini, collisional, bound):
+        # measured max: 0.118 and 0.122 with collisions, 0.013 without
+        report, exact = _ring_run(ini, collisional)
+        for f, ref in zip(report.densities, exact):
+            assert _relative_l1(f.values, ref) <= bound
+
+    def test_the_oracle_conserves_mass_and_streams_forward(self, ini):
+        report, exact = _ring_run(ini, True)
+        mass0 = np.sum(report.densities[0].values)
+        assert abs(np.sum(exact[-1]) - mass0) <= 1e-12 * mass0
+        # streaming the other way misses the package by more than the mass
+        report, backward = _ring_run(ini, False, flip=-1.0)
+        assert _relative_l1(report.densities[-1].values, backward[-1]) > 1.0
 
 
 class TestIncrementalSamples:

@@ -75,7 +75,7 @@ class TestPlaneWaveExtraction:
         )
         grid = PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=p0)
         a0 = extract_envelope(psi, grid).values
-        later = evolve(psi, FreePotential(), dt=0.1, steps=50)
+        later = evolve(psi, FreePotential(), 5.0, 0.1)
         a1 = extract_envelope(later, grid).values
         assert np.max(np.abs(a1 - a0)) < 1e-10
 

@@ -359,15 +359,26 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="unknown potential kind"):
             artifacts.load_scenario(bad)
 
-    def test_unparsable_value(self, tmp_path):
+    @pytest.mark.parametrize(
+        "ini, overrides",
+        [
+            (None, None),
+            # a misspelt flag must not read as false
+            ("relaxation.ini", {"scenario.periodic_x": "ture"}),
+            ("barrier_split.ini", {"potential.smooth": "on"}),
+        ],
+        ids=["grid.dx", "scenario.periodic_x", "potential.smooth"],
+    )
+    def test_unparsable_value(self, ini, overrides, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(
             "[grid]\ndx = one\nn_x = 64\nwindow_cells = 16\n"
             "[packet]\nx_center = 32\np_center = 1\nsigma = 4\n"
             "[time]\ndt = 0.1\nsamples = 1.0\n"
         )
+        path = bad if ini is None else SCENARIO_DIR / ini
         with pytest.raises(ScenarioError, match="bad scenario file"):
-            artifacts.load_scenario(bad)
+            artifacts.load_scenario(path, overrides)
 
     @pytest.mark.parametrize(
         "missing, ini, cut",

@@ -3,7 +3,7 @@
 The propagator is exact in time on the grid: one kinetic factor for a
 free particle, one Chebyshev series of the grid Hamiltonian under a
 potential (Tal-Ezer & Kosloff 1984), so it conserves the norm to
-rounding, depends on the span steps·dt alone, and reproduces free and
+rounding, depends on the span t alone, and reproduces free and
 uniform-force motion exactly.  The tests pin it against the dense
 eigendecomposition of the same grid Hamiltonian, pin the Bessel
 coefficients against scipy, and check the unitarity, the classical
@@ -80,19 +80,19 @@ class TestUnitarityAndConservation:
     )
     def test_norm_preserved(self, small_grid, potential):
         psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.3, sigma=12.0)
-        out = evolve(psi, potential, dt=0.05, steps=100)
+        out = evolve(psi, potential, 5.0, 0.05)
         assert abs(l2_norm(out) - 1.0) < 1e-12, f"norm drifted to {l2_norm(out)}"
 
     def test_energy_conserved_in_trap(self, small_grid):
         psi = init_gaussian_packet(small_grid, x_c=10.0, p_c=0.2, sigma=12.0)
         trap = HarmonicPotential(k=1e-4)
         e0 = energy(psi, trap)
-        e1 = energy(evolve(psi, trap, dt=0.05, steps=400), trap)
+        e1 = energy(evolve(psi, trap, 20.0, 0.05), trap)
         assert e1 == pytest.approx(e0, rel=1e-7)
 
     def test_time_is_advanced(self, small_grid):
         psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.0, sigma=12.0)
-        out = evolve(psi, FreePotential(), dt=0.05, steps=7)
+        out = evolve(psi, FreePotential(), 0.35, 0.05)
         assert out.time == pytest.approx(0.35, rel=1e-15)
 
 
@@ -101,7 +101,7 @@ class TestClassicalMoments:
 
     def test_free_packet_moves_ballistically(self, small_grid):
         psi = init_gaussian_packet(small_grid, x_c=-50.0, p_c=0.5, sigma=12.0)
-        out = evolve(psi, FreePotential(), dt=0.1, steps=400)
+        out = evolve(psi, FreePotential(), 40.0, 0.1)
         assert expectation_x(out) == pytest.approx(-50.0 + 0.5 * 40.0, abs=1e-8)
         assert expectation_p(out) == pytest.approx(0.5, abs=1e-12)
 
@@ -111,7 +111,7 @@ class TestClassicalMoments:
         # characteristic to roundoff.
         force, t = 1e-3, 10.0
         psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.4, sigma=12.0)
-        out = evolve(psi, LinearPotential(force=force), dt=0.04, steps=250)
+        out = evolve(psi, LinearPotential(force=force), t, 0.04)
         assert expectation_p(out) == pytest.approx(0.4 - force * t, abs=1e-10)
         assert expectation_x(out) == pytest.approx(
             0.4 * t - 0.5 * force * t**2, abs=1e-9
@@ -121,7 +121,7 @@ class TestClassicalMoments:
         k, t = 1e-4, 25.6
         omega = np.sqrt(k)
         psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.5, sigma=16.0)
-        out = evolve(psi, HarmonicPotential(k=k), dt=0.04, steps=640)
+        out = evolve(psi, HarmonicPotential(k=k), t, 0.04)
         assert expectation_x(out) == pytest.approx(
             (0.5 / omega) * np.sin(omega * t), abs=1e-5
         )
@@ -129,7 +129,7 @@ class TestClassicalMoments:
 
 
 def test_free_evolution_is_the_stepped_kinetic_product(small_grid):
-    """U ≡ 0 takes one kinetic factor over steps·dt; the stepped product
+    """U ≡ 0 takes one kinetic factor over the span; the stepped product
     of the same factors is the reference.  The stability budget still
     applies to dt, although the exact factor would be fine without it."""
     psi = init_gaussian_packet(small_grid, x_c=-50.0, p_c=0.5, sigma=12.0)
@@ -139,11 +139,11 @@ def test_free_evolution_is_the_stepped_kinetic_product(small_grid):
     stepped = psi.values
     for _ in range(steps):
         stepped = np.fft.ifft(kinetic * np.fft.fft(stepped))
-    out = evolve(psi, FreePotential(), dt, steps)
+    out = evolve(psi, FreePotential(), steps * dt, dt)
     assert out.time == steps * dt
     assert np.max(np.abs(out.values - stepped)) <= 1e-10
     with pytest.raises(NumericalFailure, match="time step too large"):
-        evolve(psi, FreePotential(), dt=0.2, steps=200)
+        evolve(psi, FreePotential(), 40.0, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -162,26 +162,23 @@ def test_series_matches_the_dense_grid_propagator(small_grid, potential):
     p = 2.0 * np.pi * np.fft.fftfreq(small_grid.n, d=small_grid.dx)
     v = potential.value(small_grid.x)
     for dt, steps in [(0.05, 1), (0.05, 3000), (-0.05, 800)]:
-        out = evolve(psi, potential, dt, steps)
+        out = evolve(psi, potential, steps * dt, dt)
         reference = grid_propagator(psi.values, p, v, steps * dt, 1.0, 1.0)
         assert out.time == steps * dt
         assert np.max(np.abs(out.values - reference)) <= 1e-12
 
 
 def test_the_result_depends_on_the_span_only(small_grid):
-    """The split of a span into steps changes nothing beyond rounding, and
-    evolving back by -t returns ψ₀."""
+    """The step dt only binds the stability budget: the same span gives
+    the same bits at any admissible dt, and evolving back by -t returns ψ₀."""
     psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.5, sigma=16.0)
     trap = HarmonicPotential(k=1e-4)
     t = 25.6
-    solutions = [
-        evolve(psi, trap, dt=dt, steps=int(round(t / dt))).values
-        for dt in (0.04, 0.02, 0.01)
-    ]
+    solutions = [evolve(psi, trap, t, dt).values for dt in (0.04, 0.02, 0.01)]
     for other in solutions[1:]:
-        assert np.max(np.abs(other - solutions[0])) <= 1e-13
-    there = evolve(psi, trap, dt=0.04, steps=640)
-    back = evolve(there, trap, dt=-0.04, steps=640)
+        assert np.array_equal(other, solutions[0])
+    there = evolve(psi, trap, t, 0.04)
+    back = evolve(there, trap, -t, 0.04)
     assert np.max(np.abs(back.values - psi.values)) <= 1e-12
 
 
@@ -208,19 +205,14 @@ class TestGuards:
         # the |dt|·E_max/ħ < 0.5 budget even without a potential
         psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.0, sigma=12.0)
         with pytest.raises(NumericalFailure, match="time step too large"):
-            evolve(psi, FreePotential(), dt=0.2, steps=1)
+            evolve(psi, FreePotential(), 0.2, 0.2)
 
     def test_barrier_height_enters_the_budget(self, small_grid):
         psi = init_gaussian_packet(small_grid, x_c=-100.0, p_c=0.0, sigma=12.0)
         tall = GaussianBarrier(v0=5.0, x_b=0.0, width=6.0)
         with pytest.raises(NumericalFailure):
-            evolve(psi, tall, dt=0.08, steps=1)
-        evolve(psi, tall, dt=0.04, steps=1)  # inside the budget: fine
-
-    def test_negative_step_count_rejected(self, small_grid):
-        psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.0, sigma=12.0)
-        with pytest.raises(ValueError):
-            evolve(psi, FreePotential(), dt=0.05, steps=-1)
+            evolve(psi, tall, 0.08, 0.08)
+        evolve(psi, tall, 0.04, 0.04)  # inside the budget: fine
 
 
 class TestPotentials:
