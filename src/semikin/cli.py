@@ -126,42 +126,29 @@ def _load(args) -> Scenario:
 
 
 def _cmd_schrodinger(scenario: Scenario, outdir: Path, args) -> None:
-    rows = []
+    columns = {"t": scenario.sample_times, "norm": [], "x": [], "p": [], "energy": []}
     psi = None
-    for i, psi in enumerate(quantum_samples(scenario)):
-        rows.append(
-            (
-                scenario.sample_times[i],
-                l2_norm(psi),
-                expectation_x(psi),
-                expectation_p(psi),
-                energy(psi, scenario.potential),
-            )
-        )
-    artifacts.atomic_write_text(
-        outdir / "observables.csv",
-        artifacts._csv("t,norm,x,p,energy", rows),
-    )
+    for psi in quantum_samples(scenario):
+        columns["norm"].append(l2_norm(psi))
+        columns["x"].append(expectation_x(psi))
+        columns["p"].append(expectation_p(psi))
+        columns["energy"].append(energy(psi, scenario.potential))
+    artifacts.write_csv(outdir / "observables.csv", columns)
     artifacts.save_wavefunction(psi, outdir / "wavefunction", binary=args.dump_binary)
 
 
 def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
     # the report is the artifact here, so a failing packet still gets one
     _, pg, report, _ = prepare(scenario, force=True)
-    artifacts.atomic_write_text(
-        outdir / "scale.json", artifacts._json(dataclasses.asdict(report))
-    )
-    index_rows = []
+    artifacts.write_json(outdir / "scale.json", dataclasses.asdict(report))
     for i, psi in enumerate(quantum_samples(scenario)):
         field = extract_envelope(psi, pg, potential=scenario.potential)
         artifacts.save_envelope(field, outdir / f"env_{i:03d}", binary=args.dump_binary)
         artifacts.save_density(
             envelope_density(field), outdir / f"rho_{i:03d}", binary=args.dump_binary
         )
-        index_rows.append((i, scenario.sample_times[i]))
-    artifacts.atomic_write_text(
-        outdir / "samples.csv", artifacts._csv("index,t", index_rows)
-    )
+    times = scenario.sample_times
+    artifacts.write_csv(outdir / "samples.csv", {"index": range(len(times)), "t": times})
 
 
 def _cmd_liouville(scenario: Scenario, outdir: Path, args) -> None:
@@ -173,11 +160,11 @@ def _cmd_liouville(scenario: Scenario, outdir: Path, args) -> None:
         dt=scenario.dt,
         periodic_x=scenario.periodic_x,
     )
-    mass_rows = []
-    for i, (t_i, rho) in enumerate(zip(scenario.sample_times, densities)):
+    masses = []
+    for i, rho in enumerate(densities):
         artifacts.save_density(rho, outdir / f"rho_{i:03d}", binary=args.dump_binary)
-        mass_rows.append((t_i, phase_space_mass(rho)))
-    artifacts.atomic_write_text(outdir / "masses.csv", artifacts._csv("t,mass", mass_rows))
+        masses.append(phase_space_mass(rho))
+    artifacts.write_csv(outdir / "masses.csv", {"t": scenario.sample_times, "mass": masses})
 
 
 def _manybody_rows(seed: int) -> list[tuple[str, str, float]]:
@@ -193,46 +180,24 @@ def _manybody_rows(seed: int) -> list[tuple[str, str, float]]:
         )
 
     amplitude = gaussian_of_sum(0.35)
-    numeric = EnvelopeFunctionND(
-        func=amplitude.func, grad=None, symmetric=True
-    )
+    numeric = EnvelopeFunctionND(func=amplitude.func, grad=None, symmetric=True)
     rows = []
     for statistics in ("fermion", "boson"):
         state = CarrierState(statistics, tuple(rng.uniform(-2.0, 2.0, size=2)))
         xs = rng.uniform(-1.0, 1.0, size=2)
-        rows.append(
-            (
-                "kinetic_cross_term",
-                f"n=2 {statistics} analytic gradient",
-                kinetic_cross_term_check(state, amplitude, xs),
-            )
-        )
+        residual = kinetic_cross_term_check(state, amplitude, xs)
+        rows.append(("kinetic_cross_term", f"n=2 {statistics} analytic gradient", residual))
     state3 = CarrierState("fermion", tuple(rng.uniform(-2.0, 2.0, size=3)))
     xs3 = rng.uniform(-1.0, 1.0, size=3)
     for h in (1e-4, 5e-5):
-        rows.append(
-            (
-                "kinetic_cross_term",
-                f"n=3 fermion central differences h={h:g}",
-                kinetic_cross_term_check(state3, numeric, xs3, h=h),
-            )
-        )
+        residual = kinetic_cross_term_check(state3, numeric, xs3, h=h)
+        rows.append(("kinetic_cross_term", f"n=3 fermion central differences h={h:g}", residual))
     state2 = CarrierState("fermion", tuple(rng.uniform(-2.0, 2.0, size=2)))
-    rows.append(
-        (
-            "position_minor",
-            "n=2 fermion",
-            position_minor_identity_check(state2, rng.uniform(-1.0, 1.0, size=2), 0),
-        )
-    )
+    residual = position_minor_identity_check(state2, rng.uniform(-1.0, 1.0, size=2), 0)
+    rows.append(("position_minor", "n=2 fermion", residual))
     state3b = CarrierState("boson", tuple(rng.uniform(-2.0, 2.0, size=3)))
-    rows.append(
-        (
-            "position_minor",
-            "n=3 boson",
-            position_minor_identity_check(state3b, rng.uniform(-1.0, 1.0, size=3), 1),
-        )
-    )
+    residual = position_minor_identity_check(state3b, rng.uniform(-1.0, 1.0, size=3), 1)
+    rows.append(("position_minor", "n=3 boson", residual))
     window = 32.0
     diag = windowed_orthogonality_check(1.0, 1.0, window, probe_slope=1.0)
     rows.append(("windowed_orthogonality", "same carrier: slope error", abs(diag - 1.0)))
@@ -243,9 +208,10 @@ def _manybody_rows(seed: int) -> list[tuple[str, str, float]]:
 
 
 def _cmd_manybody(outdir: Path, args) -> None:
-    table = artifacts._csv("check,detail,residual", _manybody_rows(args.seed))
-    sys.stdout.write(table)
-    artifacts.atomic_write_text(outdir / "residuals.csv", table)
+    check, detail, residual = zip(*_manybody_rows(args.seed))
+    path = outdir / "residuals.csv"
+    artifacts.write_csv(path, {"check": list(check), "detail": list(detail), "residual": residual})
+    sys.stdout.write(path.read_text())
 
 
 def _cmd_kinetics(scenario: Scenario, outdir: Path, args) -> None:

@@ -142,13 +142,11 @@ def extract_envelope(
     gate it with `scale_check`.
     """
     raw = _raw_extract(psi, grid)
-    c = psi.constants
-    kinetic = grid.p_centers**2 / (2.0 * c.mass)
     u0 = np.zeros_like(grid.x_centers) if potential is None else np.asarray(
         potential.value(grid.x_centers), dtype=float
     )
-    e0 = u0[:, None] + kinetic[None, :]
-    slow = raw * np.exp(1j * e0 * psi.time / c.hbar)
+    e0 = u0[:, None] + grid.cell_energies[None, :]
+    slow = raw * np.exp(1j * e0 * psi.time / psi.constants.hbar)
     return EnvelopeField(grid=grid, values=slow, time=psi.time)
 
 

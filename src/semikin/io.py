@@ -6,6 +6,11 @@ output byte for byte.  CSV is the universal tabular format; raw
 row-major float64 binary dumps (with a JSON sidecar describing the
 axes) are opt-in.
 
+One formatter, `_text`, serves every CSV: a number is written as
+repr(float(v)), its shortest round trip, and a string passes through.
+`write_csv` writes a mapping of column name to column under a header of
+the names; `rates.csv` is a headerless K×K table.
+
 Scenario files are INI-style key-value text::
 
     [scenario]
@@ -47,7 +52,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -67,6 +72,8 @@ from .schrodinger import (
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
+    "write_csv",
+    "write_json",
     "save_density",
     "save_envelope",
     "save_wavefunction",
@@ -100,19 +107,27 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _fmt(value) -> str:
-    return value if isinstance(value, str) else repr(float(value))
+def _text(column) -> list[str]:
+    """The CSV fields of one column.  A list of strings (labels, or
+    numbers already formatted) passes through; any other column holds
+    numbers, each written as repr(float(v)), its shortest round trip.
+    A column is all strings or all numbers, so its first entry decides."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
+    return list(map(repr, np.asarray(column, dtype=float).ravel().tolist()))
 
 
-def _csv(header: str, rows: Iterable[Iterable]) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def write_csv(path: Path, columns: Mapping[str, object]) -> None:
+    """Write `columns`, a mapping of column name to column, as CSV: a
+    header line of the names, then one line per row."""
+    rows = map(",".join, zip(*map(_text, columns.values())))
+    atomic_write_text(path, "\n".join([",".join(columns), *rows]) + "\n")
 
 
-def _json(obj) -> str:
+def write_json(path: Path, obj) -> None:
     """Sorted, indented JSON; numpy arrays anywhere in `obj` become lists."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    atomic_write_text(path, text + "\n")
 
 
 def _grid_sidecar(grid: PhaseSpaceGrid, time: float) -> dict:
@@ -130,23 +145,24 @@ def _save_table(
 ) -> None:
     """Write <base>.csv in long form: a header of the axis and plane
     names, then one row per point of the mesh of `axes` (the first axis
-    slowest) holding the axis values and each plane's value there.
+    slowest) holding the axis values and each plane's value there.  Each
+    axis value is formatted once; the mesh repeats its text.
 
     With a `sidecar`, also write the planes stacked as raw row-major
     float64 <base>.bin, and the sidecar plus the plane names as
     <base>.json.
     """
     base = Path(base)
-    mesh = np.meshgrid(*axes.values(), indexing="ij")
-    columns = [c.ravel().tolist() for c in (*mesh, *planes.values())]
-    header = ",".join([*axes, *planes])
-    atomic_write_text(base.with_suffix(".csv"), _csv(header, zip(*columns)))
+    texts = (np.array(_text(axis), dtype=object) for axis in axes.values())
+    mesh = np.meshgrid(*texts, indexing="ij")
+    columns = {name: m.ravel().tolist() for name, m in zip(axes, mesh)}
+    write_csv(base.with_suffix(".csv"), {**columns, **planes})
     if sidecar is not None:
         stacked = np.stack(list(planes.values()))
         atomic_write_bytes(
             base.with_suffix(".bin"), np.ascontiguousarray(stacked, dtype="<f8").tobytes()
         )
-        atomic_write_text(base.with_suffix(".json"), _json({**sidecar, "planes": list(planes)}))
+        write_json(base.with_suffix(".json"), {**sidecar, "planes": list(planes)})
 
 
 # --------------------------------------------------------------------------
@@ -199,19 +215,17 @@ def save_wavefunction(psi: WaveFunction, base: Path, binary: bool = False) -> No
 def save_rate_matrix(
     rates: RateMatrix, energies: np.ndarray, hbar: float, base: Path
 ) -> None:
-    """K×K CSV of rates plus a JSON sidecar {energies, eta, hbar}."""
+    """Headerless K×K CSV of rates plus a JSON sidecar {energies, eta, hbar}."""
     base = Path(base)
-    text = "\n".join(",".join(_fmt(v) for v in row) for row in rates.values) + "\n"
-    atomic_write_text(base.with_suffix(".csv"), text)
-    atomic_write_text(
+    rows = map(",".join, map(_text, rates.values))
+    atomic_write_text(base.with_suffix(".csv"), "\n".join(rows) + "\n")
+    write_json(
         base.with_suffix(".json"),
-        _json(
-            {
-                "energies": np.asarray(energies, dtype=float),
-                "eta": float(rates.eta),
-                "hbar": float(hbar),
-            }
-        ),
+        {
+            "energies": np.asarray(energies, dtype=float),
+            "eta": float(rates.eta),
+            "hbar": float(hbar),
+        },
     )
 
 
@@ -221,27 +235,20 @@ def save_correspondence_report(report: CorrespondenceReport, outdir: Path) -> No
     fields = dataclasses.asdict(report)
     if report.barrier is None:
         del fields["barrier"]
-    atomic_write_text(outdir / "report.json", _json(fields))
+    write_json(outdir / "report.json", fields)
 
-    columns = [("t", report.times), ("x_quantum", report.x_quantum), ("p_quantum", report.p_quantum)]
+    columns = {"t": report.times, "x_quantum": report.x_quantum, "p_quantum": report.p_quantum}
     for name in ("x_classical", "p_classical", "l1", "l2", "mass_envelope", "mass_classical"):
-        arr = getattr(report, name)
-        if arr is not None:
-            columns.append((name, arr))
-    header = ",".join(name for name, _ in columns)
-    rows = zip(*(arr for _, arr in columns))
-    atomic_write_text(outdir / "metrics.csv", _csv(header, rows))
+        columns[name] = getattr(report, name)
+    write_csv(outdir / "metrics.csv", {k: v for k, v in columns.items() if v is not None})
 
     if report.barrier is not None:
-        rows = (
-            (lobe.label, *row)
-            for lobe in report.barrier.lobes
-            for row in zip(
-                lobe.times, lobe.x_measured, lobe.p_measured, lobe.x_predicted, lobe.p_predicted
-            )
-        )
-        header = "label,t,x_measured,p_measured,x_predicted,p_predicted"
-        atomic_write_text(outdir / "lobes.csv", _csv(header, rows))
+        lobes = report.barrier.lobes
+        columns = {"label": [lobe.label for lobe in lobes for _ in lobe.times]}
+        for name in ("t", "x_measured", "p_measured", "x_predicted", "p_predicted"):
+            field = "times" if name == "t" else name
+            columns[name] = [v for lobe in lobes for v in getattr(lobe, field)]
+        write_csv(outdir / "lobes.csv", columns)
 
 
 def save_kinetic_report(
@@ -249,8 +256,10 @@ def save_kinetic_report(
 ) -> None:
     """histories.csv, current.csv (long form) and the final density."""
     outdir = Path(outdir)
-    rows = zip(report.times, report.mass, report.entropy)
-    atomic_write_text(outdir / "histories.csv", _csv("t,mass,entropy", rows))
+    write_csv(
+        outdir / "histories.csv",
+        {"t": report.times, "mass": report.mass, "entropy": report.entropy},
+    )
     final = report.densities[-1]
     _save_table(
         outdir / "current", {"t": report.times, "x": final.grid.x_centers}, {"j": report.current}
@@ -277,6 +286,8 @@ def _floats_list(text: str) -> tuple[float, ...]:
 def _uniform_rates(grid: PhaseSpaceGrid, *, coupling: float, eta: float) -> RateMatrix:
     """Golden-rule rates between the momentum cells of `grid`, with cell
     energies p²/2m and the same coupling between every pair of cells."""
+    if not np.isfinite(coupling):
+        raise ValueError(f"rates coupling = {coupling} must be finite")
     k = grid.p_centers.size
     v = coupling * (np.ones((k, k), dtype=complex) - np.eye(k))
     return fermi_rates(

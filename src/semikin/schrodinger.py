@@ -16,19 +16,22 @@ runs follows from the potential on the grid:
                                terms for the spectral width ΔE of H.
 
 Potentials are small tagged value objects carrying their analytic value
-and derivative; `is_smooth` records whether the classical module may
-consume them (a narrow Gaussian barrier is treated as sharp: it exists
-to split packets, not to generate smooth characteristics).  The free,
-linear and harmonic forms also carry their exact Hamilton flow,
-`flow(x, p, t, mass)`, which `liouville.flow_map` takes in place of
-Verlet steps.
+and derivative; each refuses a non-finite parameter, and the barrier a
+width ≤ 0, when built.
+`is_smooth` records whether the classical module may consume them: a
+class constant True for the free, linear and harmonic forms, and a
+field of the Gaussian barrier, False unless set (a narrow barrier is
+treated as sharp: it exists to split packets, not to generate smooth
+characteristics).  The free, linear and harmonic forms also carry their
+exact Hamilton flow, `flow(x, p, t, mass)`, which `liouville.flow_map`
+takes in place of Verlet steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -77,9 +80,15 @@ class WaveFunction:
 # --------------------------------------------------------------------------
 
 
+def _require_finite(form: str, **parameters: float) -> None:
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{form} {name} = {value} must be finite")
+
+
 @dataclass(frozen=True)
 class FreePotential:
-    is_smooth: bool = True
+    is_smooth: ClassVar[bool] = True
 
     def value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -97,7 +106,10 @@ class LinearPotential:
     """U(x) = F·x, a uniform force -F."""
 
     force: float
-    is_smooth: bool = True
+    is_smooth: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        _require_finite("linear potential", force=self.force)
 
     def value(self, x):
         return self.force * np.asarray(x, dtype=float)
@@ -121,7 +133,10 @@ class HarmonicPotential:
     """U(x) = ½ k x²."""
 
     k: float
-    is_smooth: bool = True
+    is_smooth: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        _require_finite("harmonic potential", k=self.k)
 
     def value(self, x):
         return 0.5 * self.k * np.asarray(x, dtype=float) ** 2
@@ -156,6 +171,11 @@ class GaussianBarrier:
     x_b: float
     width: float
     is_smooth: bool = False
+
+    def __post_init__(self) -> None:
+        _require_finite("gaussian barrier", v0=self.v0, x_b=self.x_b, width=self.width)
+        if self.width <= 0.0:
+            raise ValueError(f"gaussian barrier width = {self.width} must be positive")
 
     def value(self, x):
         u = (np.asarray(x, dtype=float) - self.x_b) / self.width
@@ -194,7 +214,7 @@ def init_gaussian_packet(
         raise ValueError(f"sigma = {sigma} under-resolved: need sigma >= 4 dx = {4 * grid.dx}")
     x = grid.x
     for edge in (x[0], x[-1]):
-        tail = math.exp(-((edge - x_c) ** 2) / (4.0 * sigma**2))
+        tail = math.exp(-(((edge - x_c) / (2.0 * sigma)) ** 2))
         if tail > _EDGE_TAIL:
             raise ValueError(
                 f"packet tail {tail:.3e} at grid edge x = {edge}; keep the packet"

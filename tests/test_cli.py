@@ -191,6 +191,10 @@ class TestExitCodes:
             ("compare", "harmonic_trap", "grid.x_min=inf", "x_min must be finite"),
             ("compare", "harmonic_trap", "grid.p_center=nan", "p_center must be finite"),
             ("kinetics", "relaxation", "rates.eta=inf", "broadening must be positive and finite"),
+            ("liouville", "free_packet", "packet.sigma=1e300", "packet tail 1.000e+00"),
+            ("barrier", "barrier_split", "potential.width=0", "width = 0.0 must be positive"),
+            ("compare", "harmonic_trap", "potential.k=nan", "k = nan must be finite"),
+            ("kinetics", "relaxation", "rates.coupling=nan", "coupling = nan must be finite"),
         ],
     )
     def test_a_non_finite_or_empty_input_is_a_configuration_error(

@@ -69,6 +69,54 @@ class TestAtomicWrite:
 # --------------------------------------------------------------------------
 
 
+class TestCsvText:
+    """The one text rule of every CSV: each number is repr(float(v)), the
+    shortest decimal that round-trips, and strings pass through."""
+
+    def test_integer_valued_numbers_print_as_floats(self, tmp_path):
+        # samples.csv numbers its samples 0.0, 1.0, ...
+        artifacts.write_csv(
+            tmp_path / "t.csv", {"index": range(3), "n": [np.int64(7), 8, True]}
+        )
+        assert (tmp_path / "t.csv").read_text() == "index,n\n0.0,7.0\n1.0,8.0\n2.0,1.0\n"
+
+    def test_numbers_are_the_repr_of_their_float(self, tmp_path):
+        values = [0.1, np.float64(1.0) / 3.0, -0.0, np.float64(5e-324), 1e300, np.float32(0.1)]
+        artifacts.write_csv(tmp_path / "t.csv", {"v": values, "a": np.array(values, dtype=float)})
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        expected = [repr(float(v)) for v in values]
+        assert expected[2:4] == ["-0.0", "5e-324"]
+        assert lines == ["v,a", *(f"{v},{v}" for v in expected)]
+
+    def test_labels_pass_through(self, tmp_path):
+        artifacts.write_csv(
+            tmp_path / "t.csv", {"label": ["reflected", "1.50"], "t": np.array([0.5, 2.0])}
+        )
+        assert (tmp_path / "t.csv").read_text() == "label,t\nreflected,0.5\n1.50,2.0\n"
+
+    def test_long_form_axes_are_the_ij_mesh(self, tmp_path, constants):
+        g = square_grid(4, 1.0, constants)
+        g = dataclasses.replace(g, p_centers=g.p_centers[:3])
+        values = np.arange(12.0).reshape(4, 3) / 7.0
+        artifacts.save_density(PhaseSpaceDensity(grid=g, values=values), tmp_path / "rho")
+        lines = (tmp_path / "rho.csv").read_text().splitlines()
+        assert lines[0] == "x0,p0,rho"
+        assert lines[1:] == [
+            f"{float(x)!r},{float(p)!r},{float(values[i, j])!r}"
+            for i, x in enumerate(g.x_centers)
+            for j, p in enumerate(g.p_centers)
+        ]
+
+    def test_a_barrier_report_with_no_lobe_keeps_the_lobes_header(
+        self, tmp_path, barrier_report
+    ):
+        summary = dataclasses.replace(barrier_report.barrier, lobes=())
+        report = dataclasses.replace(barrier_report, barrier=summary)
+        artifacts.save_correspondence_report(report, tmp_path)
+        text = (tmp_path / "lobes.csv").read_text()
+        assert text == "label,t,x_measured,p_measured,x_predicted,p_predicted\n"
+
+
 class TestDensityDump:
     def test_csv_layout(self, tmp_path, constants):
         g = square_grid(4, 1.0, constants)

@@ -232,6 +232,30 @@ class TestPotentials:
         assert trap.value(2.0) == 8.0
         assert trap.derivative(2.0) == 8.0
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LinearPotential(force=np.inf), "force = inf must be finite"),
+            (lambda: HarmonicPotential(k=np.nan), "k = nan must be finite"),
+            (lambda: GaussianBarrier(v0=np.nan, x_b=0.0, width=6.0), "v0 = nan must be finite"),
+            (lambda: GaussianBarrier(v0=0.7, x_b=-np.inf, width=6.0), "x_b = -inf must be finite"),
+            (lambda: GaussianBarrier(v0=0.7, x_b=0.0, width=np.inf), "width = inf must be finite"),
+            (lambda: GaussianBarrier(v0=0.7, x_b=0.0, width=0.0), "width = 0.0 must be positive"),
+            (lambda: GaussianBarrier(v0=0.7, x_b=0.0, width=-6.0), "width = -6.0 must be positive"),
+        ],
+        ids=["force", "k", "v0", "x_b", "width-inf", "width-zero", "width-negative"],
+    )
+    def test_bad_parameters_are_refused_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_only_the_barrier_sets_its_smoothness(self):
+        assert FreePotential().is_smooth and HarmonicPotential(k=1.0).is_smooth
+        assert LinearPotential(force=1.0).is_smooth
+        with pytest.raises(TypeError):
+            HarmonicPotential(k=1.0, is_smooth=False)
+        assert GaussianBarrier(v0=0.7, x_b=0.0, width=6.0, is_smooth=True).is_smooth
+
 
 def test_transmission_reflection_partitions_the_norm(small_grid):
     psi = init_gaussian_packet(small_grid, x_c=-80.0, p_c=0.8, sigma=12.0)

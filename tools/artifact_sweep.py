@@ -80,8 +80,23 @@ def _relative(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(rel)) if rel.size else 0.0
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _csv_columns(path: Path) -> tuple[list[str], list[tuple[str, ...]]]:
-    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    """The column names and columns of a CSV file.  A first line of
+    numbers only is data (``rates.csv`` has no header); its columns are
+    then named by their index."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    if rows and all(map(_is_number, rows[0])):
+        header = [f"column {j}" for j in range(len(rows[0]))]
+    else:
+        header, *rows = rows or [[]]
     return header, list(zip(*rows))
 
 
