@@ -128,7 +128,7 @@ def _load(args) -> Scenario:
 def _cmd_schrodinger(scenario: Scenario, outdir: Path, args) -> None:
     columns = {"t": scenario.sample_times, "norm": [], "x": [], "p": [], "energy": []}
     psi = None
-    for psi in quantum_samples(scenario):
+    for psi in quantum_samples(scenario, scenario.initial_wavefunction()):
         columns["norm"].append(l2_norm(psi))
         columns["x"].append(expectation_x(psi))
         columns["p"].append(expectation_p(psi))
@@ -139,9 +139,9 @@ def _cmd_schrodinger(scenario: Scenario, outdir: Path, args) -> None:
 
 def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
     # the report is the artifact here, so a failing packet still gets one
-    _, pg, report, _ = prepare(scenario, force=True)
+    psi0, pg, report, _ = prepare(scenario, force=True)
     artifacts.write_json(outdir / "scale.json", dataclasses.asdict(report))
-    for i, psi in enumerate(quantum_samples(scenario)):
+    for i, psi in enumerate(quantum_samples(scenario, psi0)):
         field = extract_envelope(psi, pg, potential=scenario.potential)
         artifacts.save_envelope(field, outdir / f"env_{i:03d}", binary=args.dump_binary)
         artifacts.save_density(
@@ -220,7 +220,7 @@ def _cmd_kinetics(scenario: Scenario, outdir: Path, args) -> None:
     if scenario.rates is not None:
         artifacts.save_rate_matrix(
             scenario.rates,
-            report.densities[0].grid.cell_energies,
+            scenario.phase_grid().cell_energies,
             scenario.constants.hbar,
             outdir / "rates",
         )

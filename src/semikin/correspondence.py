@@ -46,6 +46,7 @@ from .kinetics import RateMatrix, boltzmann_samples, current_density, entropy
 from .liouville import _MAX_STEPS, HamiltonianSpec, flow_map, liouville_samples
 from .schrodinger import (
     FreePotential,
+    GaussianBarrier,
     PotentialSpec,
     WaveFunction,
     evolve,
@@ -89,9 +90,11 @@ class Scenario:
     the quantum stability budget binds, the Verlet substep of a flow with
     no closed form and the bound on a collisional Strang step; exact
     propagators take no steps but still pass the step-count check.  The
-    grids are built once at construction, so an inconsistent scenario
-    fails immediately with `ScenarioError`, and so does one whose last
-    sample lies more than 10⁷ steps of `dt` away.
+    grids are built once, at construction, and kept for `phase_grid()`
+    and ψ₀, so an inconsistent scenario fails at once with
+    `ScenarioError`; so does one whose last sample lies more than 10⁷
+    steps of `dt` away, or whose barrier is narrower than `dx` or
+    centred off the grid.
     """
 
     name: str = "scenario"
@@ -127,27 +130,28 @@ class Scenario:
                 f" of dt = {self.dt:g}, more than {_MAX_STEPS}"
             )
         try:
-            grid = self.spatial_grid()
-            self.phase_grid(grid)
+            grid = SpatialGrid(x_min=self.x_min, dx=self.dx, n=self.n_x)
+            pg = PhaseSpaceGrid.from_spatial(
+                grid, self.constants, window_cells=self.window_cells,
+                p_center=self.grid_p_center, n_p=self.n_p,
+            )
         except ValueError as exc:
             raise ScenarioError(f"inconsistent grids: {exc}") from exc
+        if isinstance(self.potential, GaussianBarrier):
+            x_b, width, lo, hi = self.potential.x_b, self.potential.width, grid.x[0], grid.x[-1]
+            if width < self.dx:
+                raise ScenarioError(f"barrier width = {width:g} is below dx = {self.dx:g}")
+            if not lo <= x_b <= hi:
+                raise ScenarioError(f"barrier x_b = {x_b:g} lies outside the grid [{lo:g}, {hi:g}]")
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_phase_grid", pg)
 
-    def spatial_grid(self) -> SpatialGrid:
-        return SpatialGrid(x_min=self.x_min, dx=self.dx, n=self.n_x)
-
-    def phase_grid(self, grid: Optional[SpatialGrid] = None) -> PhaseSpaceGrid:
-        if grid is None:
-            grid = self.spatial_grid()
-        return PhaseSpaceGrid.from_spatial(
-            grid,
-            self.constants,
-            window_cells=self.window_cells,
-            p_center=self.grid_p_center,
-            n_p=self.n_p,
-        )
+    def phase_grid(self) -> PhaseSpaceGrid:
+        """The phase-space grid built at construction, the same object each call."""
+        return self._phase_grid
 
     def initial_wavefunction(self) -> WaveFunction:
-        grid = self.spatial_grid()
+        grid = self._grid
         try:
             total = np.zeros(grid.n, dtype=np.complex128)
             for packet in self.packets:
@@ -263,9 +267,12 @@ def prepare(
     return psi0, pg, report, rho0
 
 
-def quantum_samples(scenario: Scenario):
-    """Yield ψ(tᵢ) at every sample time: one `evolve` per interval, at step `scenario.dt`."""
-    psi = scenario.initial_wavefunction()
+def quantum_samples(scenario: Scenario, psi0: WaveFunction):
+    """Yield ψ(tᵢ) from ψ₀ at every sample time: one `evolve` per
+    interval, at step `scenario.dt`.  ψ₀ is passed in, as ρ₀ is to
+    `liouville_samples`: the prelude's, where there is one.  A sample at
+    t = 0 is ψ₀."""
+    psi = psi0
     t_prev = 0.0
     for t_i in scenario.sample_times:
         delta = t_i - t_prev
@@ -312,7 +319,7 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
         rho0, hamiltonian, times, dt=scenario.dt, periodic_x=scenario.periodic_x
     )
     xc, pc, t_prev = expectation_x(psi0), expectation_p(psi0), 0.0
-    for i, (psi, rho_cl) in enumerate(zip(quantum_samples(scenario), classical)):
+    for i, (psi, rho_cl) in enumerate(zip(quantum_samples(scenario, psi0), classical)):
         rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
         l1[i], l2[i] = _relative_distances(rho_env, rho_cl, mass_ref, l2_ref)
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
@@ -368,7 +375,7 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     barrier_x = getattr(scenario.potential, "x_b", None)
     if barrier_x is None:
         raise ScenarioError("barrier experiment needs a potential with a barrier position x_b")
-    _, pg, report_scale, _ = prepare(scenario, force)
+    psi0, pg, report_scale, _ = prepare(scenario, force)
 
     dead = pg.p_halfwidth
     transmitted, reflected = pg.p_centers > dead, pg.p_centers < -dead
@@ -382,7 +389,7 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     tracks = np.empty((2, n, 3))
     psi_last = None
 
-    for i, psi in enumerate(quantum_samples(scenario)):
+    for i, psi in enumerate(quantum_samples(scenario, psi0)):
         rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
         m_env[i] = phase_space_mass(rho_env)

@@ -386,10 +386,11 @@ def boltzmann_samples(
             step = (t - t_prev) / steps
             # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
             hop = _hop(rates, step)
-            half = TransportStencil.backtrace(f0.grid, hamiltonian, 0.5 * step, periodic_x)
+            h = 0.5 * step
+            half = TransportStencil.backtrace(f0.grid, hamiltonian, h, periodic_x)
             for _ in range(steps):
                 values = half.move(np.maximum(half.move(values) @ hop, 0.0))
-                time = (time + half.t) + half.t
+                time = (time + h) + h
             t_prev = t
         yield PhaseSpaceDensity(grid=f0.grid, values=values, time=time)
 

@@ -8,9 +8,11 @@ bilinear interpolation — no resampling noise, positivity preserved,
 measure conserved up to the interpolation bound.  The interpolation is
 a `TransportStencil`: a gather index array and weight array, (4, nx, np)
 each, plus a leak plane where feet leave an open edge, all built once
-from the feet, so density arrays that all move by the same interval (the
-Strang half-steps of `kinetics.boltzmann_samples`) share one backtrace
-and one stencil.  Which flow kernel runs follows from the potential:
+from the feet.  It moves value arrays, never densities, so arrays that
+all move by the same interval (the Strang half-steps of
+`kinetics.boltzmann_samples`) share one backtrace and one stencil, and
+each sample generator builds, and so validates, its sample densities
+itself.  Which flow kernel runs follows from the potential:
 
   free, linear, harmonic:  the potential's closed-form `flow`, exact in
                            one call for any t (the feet of every sample
@@ -185,23 +187,20 @@ class TransportStencil:
     exit the hull read ρ = 0; the data they *should* have read is
     estimated by ρ at the hull-clipped foot, weighted by how deep the
     foot penetrates (in cells, capped at one), so feet that merely graze
-    the hull by rounding noise contribute ~nothing.  `move` runs the
-    leak check on a density's values and then the gather, so any number
-    of densities moved by the same t on the same grid get the check and
-    the bits of one fresh transport each.
+    the hull by rounding noise contribute ~nothing.  It reads arrays
+    only: `move` runs the leak check on a value array of the grid's
+    shape and then the gather, so any number of arrays moved by the same
+    interval on the same grid get the check and the bits of one fresh
+    transport each.  The caller keeps the grid and the time.
     """
 
-    grid: PhaseSpaceGrid
-    t: float
     index: np.ndarray
     weight: np.ndarray
     leak: np.ndarray | None
 
     @classmethod
-    def at_feet(
-        cls, grid: PhaseSpaceGrid, feet, t: float, periodic_x: bool = False
-    ) -> TransportStencil:
-        """The stencil reading ρ at `feet`, the nodes backtraced over t."""
+    def at_feet(cls, grid: PhaseSpaceGrid, feet, periodic_x: bool = False) -> TransportStencil:
+        """The stencil reading ρ at `feet`, the backtraced nodes of `grid`."""
         feet_x, feet_p = feet
         if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
             raise NumericalFailure("backtraced characteristics are not finite")
@@ -214,30 +213,29 @@ class TransportStencil:
         pen = np.minimum(pen, 1.0)
         index, weight = _corners(fx, fp, grid.shape, periodic_x)
         if not np.any(pen > 0.0):
-            return cls(grid, t, index, weight, None)
+            return cls(index, weight, None)
         edge_index, edge_weight = _corners(
             np.clip(fx, 0.0, nx - 1.0), np.clip(fp, 0.0, np_ - 1.0), grid.shape, periodic_x
         )
         leak = np.bincount(
             edge_index.ravel(), (pen * edge_weight).ravel(), minlength=nx * np_
         ).reshape(grid.shape)
-        return cls(grid, t, index, weight, leak)
+        return cls(index, weight, leak)
 
     @classmethod
     def backtrace(
-        cls,
-        grid: PhaseSpaceGrid,
-        hamiltonian: HamiltonianSpec,
-        t: float,
-        periodic_x: bool = False,
+        cls, grid: PhaseSpaceGrid, hamiltonian: HamiltonianSpec, t: float, periodic_x: bool = False
     ) -> TransportStencil:
         """The stencil of one `flow_map` backtrace of the node mesh over t
         (one Verlet step where there is no closed form)."""
         feet = flow_map(*_nodes(grid), -t, abs(t), hamiltonian)
-        return cls.at_feet(grid, feet, t, periodic_x)
+        return cls.at_feet(grid, feet, periodic_x)
 
     def move(self, values: np.ndarray) -> np.ndarray:
-        """ρ values transported over t, after the leak check on their mass."""
+        """ρ values of the grid's shape transported over the stencil's
+        interval, after the leak check on their mass."""
+        if values.shape != self.index.shape[1:]:
+            raise ValueError(f"values of shape {values.shape} do not fit the stencil's grid")
         if self.leak is not None:
             total = float(np.sum(values))
             leaked = float(np.sum(self.leak * values)) / total if total > 0.0 else 0.0
@@ -247,19 +245,6 @@ class TransportStencil:
                     f" {leaked:.3g} of the mass (tolerance {_BOUNDARY_MASS_TOL})"
                 )
         return _gather(self.index, self.weight, values)
-
-    def __call__(self, rho: PhaseSpaceDensity) -> PhaseSpaceDensity:
-        """ρ transported over t by `move`, as a validated density.
-
-        The feet belong to `self.grid`, so `rho` must live on that very
-        grid object; a grid of the same shape but other centres or
-        spacings would be moved along the wrong characteristics.
-        """
-        if rho.grid is not self.grid:
-            raise ValueError("density is not on the stencil's grid")
-        return PhaseSpaceDensity(
-            grid=self.grid, values=self.move(rho.values), time=rho.time + self.t
-        )
 
 
 def liouville_samples(
@@ -298,7 +283,8 @@ def liouville_samples(
             # so t = 0 samples reproduce the initial data exactly
             yield PhaseSpaceDensity(grid=g, values=rho0.values.copy(), time=rho0.time)
             continue
-        out = TransportStencil.at_feet(g, feet, t, periodic_x)(rho0)
+        stencil = TransportStencil.at_feet(g, feet, periodic_x)
+        out = PhaseSpaceDensity(grid=g, values=stencil.move(rho0.values), time=rho0.time + t)
         if m0 > 0.0:
             drift = (phase_space_mass(out) - m0) / m0
             logger.debug("liouville mass drift over t=%g: %.3e", t, drift)

@@ -205,14 +205,18 @@ def init_gaussian_packet(
 
     σ is the standard deviation of |ψ|²; the packet is minimal
     uncertainty with momentum spread ħ/2σ.  Requires σ ≥ 4 dx so the
-    carrier and the envelope are both resolved, and the tails must be
-    below 1e-10 of the peak at both grid edges.
+    carrier and the envelope are both resolved, a centre on the grid,
+    and tails below 1e-10 of the peak at both grid edges.
     """
     if not all(math.isfinite(v) for v in (x_c, p_c, sigma)):
         raise ValueError(f"packet x_c = {x_c}, p_c = {p_c}, sigma = {sigma} must be finite")
     if sigma < 4.0 * grid.dx:
         raise ValueError(f"sigma = {sigma} under-resolved: need sigma >= 4 dx = {4 * grid.dx}")
     x = grid.x
+    if not x[0] <= x_c <= x[-1]:
+        raise ValueError(
+            f"packet center x_c = {x_c:g} lies outside the grid [{x[0]:g}, {x[-1]:g}]"
+        )
     for edge in (x[0], x[-1]):
         tail = math.exp(-(((edge - x_c) / (2.0 * sigma)) ** 2))
         if tail > _EDGE_TAIL:

@@ -9,6 +9,8 @@ with methods deliberately different from the package's own numerics:
   permanent (O(n!), no linear algebra),
 * a high-resolution midpoint quadrature of the windowed Fourier
   integral of an analytic Gaussian packet,
+* the closed-form L1 distance between two centred normal laws, the
+  share of packet dispersion in the envelope-transport distance,
 * the dense matrix exponential of the master equation (scipy's
   scaling-and-squaring Padé `expm`, where the package sums a Poisson
   series),
@@ -184,6 +186,24 @@ def windowed_envelope_quadrature(
         x, x_c, p_c, sigma, hbar
     )
     return complex(np.sum(integrand) * h / width)
+
+
+def dispersion_l1(sigma, window_width, tau):
+    """L1 distance between N(0, σ² + Δx²/12) and N(0, σ²(1 + τ²) + Δx²/12).
+
+    These are the x-marginals of a width-σ packet's windowed envelope
+    before and after free dispersion over τ = t/t_disp, with the
+    window's own variance Δx²/12 added to both.  Two centred normal
+    densities cross at ±x*, x*² = 2 s₁² s₂² ln(s₂/s₁) / (s₂² − s₁²), the
+    narrower one being the larger inside, so the distance is
+    2·[erf(x*/s₁√2) − erf(x*/s₂√2)].
+    """
+    box = window_width**2 / 12.0
+    v1, v2 = sigma**2 + box, sigma**2 * (1.0 + tau**2) + box
+    if v2 == v1:
+        return 0.0
+    cross = math.sqrt(v1 * v2 * math.log(v2 / v1) / (v2 - v1))
+    return 2.0 * (math.erf(cross / math.sqrt(2.0 * v1)) - math.erf(cross / math.sqrt(2.0 * v2)))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The comparison half of `tools/artifact_sweep.py`, on tiny trees.
+"""The comparison half of `tools/artifact_sweep.py`, on tiny trees, and
+its command list against the CLI's.
 
 `compare(root, other)` is True only when both trees hold the same files
 with the same bytes; otherwise it names each file present on one side
@@ -9,6 +10,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from semikin import cli
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "artifact_sweep.py"
 _SPEC = importlib.util.spec_from_file_location("artifact_sweep", _PATH)
@@ -28,6 +31,11 @@ def _tree(root: Path, files: dict) -> Path:
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text)
     return root
+
+
+def test_the_sweep_runs_every_scenario_command():
+    # a command missing here would escape the byte-identity sweep
+    assert artifact_sweep.COMMANDS == tuple(cli._SCENARIO_COMMANDS)
 
 
 def test_identical_trees_compare_equal(tmp_path, capsys):

@@ -195,6 +195,11 @@ class TestExitCodes:
             ("barrier", "barrier_split", "potential.width=0", "width = 0.0 must be positive"),
             ("compare", "harmonic_trap", "potential.k=nan", "k = nan must be finite"),
             ("kinetics", "relaxation", "rates.coupling=nan", "coupling = nan must be finite"),
+            ("barrier", "barrier_split", "potential.width=1e-300", "below dx = 1"),
+            ("barrier", "barrier_split", "potential.x_b=1e300", "x_b = 1e+300 lies outside"),
+            ("compare", "harmonic_trap", "packet.x_center=1e300", "x_c = 1e+300 lies outside"),
+            ("compare", "free_packet", "grid.dx=1e-300", "x_c = 600 lies outside the grid"),
+            ("compare", "free_packet", "grid.x_min=1e300", "x_c = 600 lies outside the grid"),
         ],
     )
     def test_a_non_finite_or_empty_input_is_a_configuration_error(

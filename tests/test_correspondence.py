@@ -36,7 +36,7 @@ from semikin.liouville import _step_count
 from semikin.schrodinger import FreePotential
 
 from conftest import VerletOnly
-from oracles import ring_boltzmann
+from oracles import dispersion_l1, ring_boltzmann
 
 SCENARIO_DIR = Path(semikin.__file__).parent / "scenarios"
 
@@ -108,7 +108,7 @@ class TestScenarioValidation:
 class TestQuantumSamples:
     def test_yields_one_state_per_sample_time(self):
         scenario = tiny_scenario()
-        psis = list(quantum_samples(scenario))
+        psis = list(quantum_samples(scenario, scenario.initial_wavefunction()))
         assert len(psis) == 2
         assert [psi.time for psi in psis] == [0.0, 16.0]
         for psi in psis:
@@ -123,11 +123,12 @@ class TestQuantumSamples:
     )
     def test_the_budget_binds_the_scenario_dt(self, dt, last, admissible):
         scenario = dataclasses.replace(tiny_scenario(sample_times=(0.0, last)), dt=dt)
+        psi0 = scenario.initial_wavefunction()
         if admissible:
-            assert [psi.time for psi in quantum_samples(scenario)] == [0.0, last]
+            assert [psi.time for psi in quantum_samples(scenario, psi0)] == [0.0, last]
         else:
             with pytest.raises(NumericalFailure, match="time step too large"):
-                list(quantum_samples(scenario))
+                list(quantum_samples(scenario, psi0))
 
 
 class TestReportValidation:
@@ -204,6 +205,43 @@ class TestRunCorrespondence:
         assert report.l1[0] < 1e-12
         assert np.max(report.l1) < 0.05, f"crossing L1 {report.l1}"
         assert np.allclose(report.mass_envelope, 1.0 / 16.0, atol=1e-12)
+
+
+class TestOneBuilderPerRunObject:
+    def test_the_prelude_builds_psi0_once_and_the_grids_are_kept(self, monkeypatch):
+        # the quantum samples start from the prelude's ψ₀; a second
+        # ψ₀ per run, or a fresh grid per `phase_grid()` call, is waste
+        calls = []
+        init = correspondence.init_gaussian_packet
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return init(*args, **kwargs)
+
+        monkeypatch.setattr(correspondence, "init_gaussian_packet", counted)
+        scenario = tiny_scenario()
+        run_correspondence(scenario)
+        assert len(calls) == len(scenario.packets)
+        assert scenario.phase_grid() is scenario.phase_grid()
+        grid = scenario.phase_grid()
+        stencil = liouville.TransportStencil.backtrace(grid, scenario.hamiltonian(), 1.0)
+        with pytest.raises(ValueError, match="stencil's grid"):
+            stencil.move(np.ones((3, 4)))
+
+
+class TestDispersionShare:
+    def test_criterion_1_is_dispersion_plus_a_small_remainder(self):
+        # criterion 1's red on free_packet: the closed-form L1 of the
+        # dispersed against the undispersed x-marginal is a lower bound,
+        # since marginalising cannot raise L1, and the rest stays small
+        scenario = load_scenario(SCENARIO_DIR / "free_packet.ini")
+        report = run_correspondence(scenario)
+        sigma = scenario.packets[0].sigma
+        horizon = dispersion_time(sigma, scenario.constants)
+        width = scenario.phase_grid().window_width
+        for t, l1 in zip(report.times, report.l1):
+            remainder = l1 - dispersion_l1(sigma, width, t / horizon)
+            assert 0.0 <= remainder <= 0.005, f"t = {t:g}: L1 {l1:.5f}, remainder {remainder:.5f}"
 
 
 class TestBarrierSplit:
