@@ -134,11 +134,18 @@ class PhaseSpaceGrid:
 
         `window_cells` fine cells per window (must divide n).  Momentum
         cells are centered on `p_center` and tile at the dual spacing
-        2πħ/Δx, so Δx·Δp = πħ.
+        2πħ/Δx, so Δx·Δp = πħ; |p_center| must be below the fine grid's
+        Nyquist momentum πħ/dx.
         `n_p` defaults to `window_cells`, the full non-aliased band.
         """
         if not np.isfinite(p_center):
             raise ValueError(f"p_center must be finite, got {p_center!r}")
+        p_nyquist = np.pi * constants.hbar / grid.dx
+        if abs(p_center) >= p_nyquist:
+            raise ValueError(
+                f"p_center = {p_center:g} aliases: |p_center| must be below the grid's"
+                f" Nyquist momentum pi*hbar/dx = {p_nyquist:g}"
+            )
         if window_cells < 1 or grid.n % window_cells != 0:
             raise ValueError(
                 f"window of {window_cells} cells does not tile a grid of {grid.n} points"

@@ -153,14 +153,18 @@ class Scenario:
     def initial_wavefunction(self) -> WaveFunction:
         grid = self._grid
         try:
-            total = np.zeros(grid.n, dtype=np.complex128)
             for packet in self.packets:
                 if not np.isfinite(packet.weight):
                     raise ValueError(f"weight {packet.weight} must be finite")
+            # only relative weights matter, and at relative size none overflows
+            scale = max(abs(packet.weight) for packet in self.packets)
+            total = np.zeros(grid.n, dtype=np.complex128)
+            for packet in self.packets:
                 part = init_gaussian_packet(
                     grid, packet.x_center, packet.p_center, packet.sigma, self.constants
                 )
-                total = total + packet.weight * part.values
+                weight = packet.weight / scale if scale > 0.0 else packet.weight
+                total = total + weight * part.values
         except ValueError as exc:
             raise ScenarioError(f"bad packet: {exc}") from exc
         psi = WaveFunction(grid=grid, values=total, time=0.0, constants=self.constants)

@@ -205,8 +205,9 @@ def init_gaussian_packet(
 
     σ is the standard deviation of |ψ|²; the packet is minimal
     uncertainty with momentum spread ħ/2σ.  Requires σ ≥ 4 dx so the
-    carrier and the envelope are both resolved, a centre on the grid,
-    and tails below 1e-10 of the peak at both grid edges.
+    carrier and the envelope are both resolved, a centre on the grid, a
+    carrier below the Nyquist momentum, |p_c| < πħ/dx, so it does not
+    alias, and tails below 1e-10 of the peak at both grid edges.
     """
     if not all(math.isfinite(v) for v in (x_c, p_c, sigma)):
         raise ValueError(f"packet x_c = {x_c}, p_c = {p_c}, sigma = {sigma} must be finite")
@@ -216,6 +217,12 @@ def init_gaussian_packet(
     if not x[0] <= x_c <= x[-1]:
         raise ValueError(
             f"packet center x_c = {x_c:g} lies outside the grid [{x[0]:g}, {x[-1]:g}]"
+        )
+    p_nyquist = math.pi * constants.hbar / grid.dx
+    if abs(p_c) >= p_nyquist:
+        raise ValueError(
+            f"packet momentum p_c = {p_c:g} aliases: |p_c| must be below the grid's"
+            f" Nyquist momentum pi*hbar/dx = {p_nyquist:g}"
         )
     for edge in (x[0], x[-1]):
         tail = math.exp(-(((edge - x_c) / (2.0 * sigma)) ** 2))
@@ -302,27 +309,37 @@ def evolve(
         # By Weyl's inequality H's spectrum lies in [lo, hi]; H_n = (H - b)/a
         # maps it into [-1, 1] with a 1e-3 margin, and e^{-iHτ} = e^{-ibτ}
         # Σ_k (2 - δ_k0)(∓i)^k J_k(a|τ|) T_k(H_n), − for τ > 0.  The terms
-        # follow φ_{k+1} = 2H_n φ_k - φ_{k-1} in three work arrays, in place.
+        # follow φ_{k+1} = 2H_n φ_k - φ_{k-1} in three work arrays, in place;
+        # one term is one FFT pair plus six elementwise passes.
         lo, hi = float(np.min(v)), float(np.max(kinetic) + np.max(v))
         a, b = 0.5 * (hi - lo) * (1.0 + 1e-3), 0.5 * (hi + lo)
         j = _chebyshev_coefficients(a * abs(tau))
         phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(j.size) % 4]
         weights = 2.0 * j * (phases if tau > 0.0 else phases.conj())
-        kinetic2, v2 = kinetic * (2.0 / a), (v - b) * (2.0 / a)
-        prev, cur, buf = np.zeros_like(values), values.copy(), np.empty_like(values)
+        # ifft's 1/n rides in the kinetic symbol, exactly: n is a power of two
+        kinetic2 = (kinetic * (2.0 / (a * grid.n))).astype(complex)
+        v2 = ((v - b) * (2.0 / a)).astype(complex)
+        prev, cur, buf = values.copy(), np.empty_like(values), np.empty_like(values)
         values = 0.5 * weights[0] * values
-        for k in range(1, j.size):
-            np.fft.fft(cur, out=buf)
+        if j.size > 1:
+            np.fft.fft(prev, out=buf)
             buf *= kinetic2
-            np.fft.ifft(buf, out=buf)
-            buf -= prev
-            np.multiply(v2, cur, out=prev)
-            prev += buf
-            if k == 1:
-                prev *= 0.5  # φ₁ = H_n φ₀ has no factor 2
-            prev, cur = cur, prev
-            np.multiply(cur, weights[k], out=buf)
+            np.fft.ifft(buf, out=buf, norm="forward")
+            np.multiply(v2, prev, out=cur)
+            cur += buf
+            cur *= 0.5  # φ₁ = H_n φ₀ has no factor 2
+            np.multiply(cur, weights[1], out=buf)
             values += buf
+            for w in weights[2:]:
+                np.fft.fft(cur, out=buf)
+                buf *= kinetic2
+                np.fft.ifft(buf, out=buf, norm="forward")
+                buf -= prev
+                np.multiply(v2, cur, out=prev)
+                prev += buf
+                prev, cur = cur, prev
+                np.multiply(cur, w, out=buf)
+                values += buf
         values *= np.exp(-1j * b * tau)
     out = WaveFunction(grid=grid, values=values, time=psi.time + t, constants=c)
     drift = abs(l2_norm(out) - norm_in) / norm_in

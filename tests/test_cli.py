@@ -200,6 +200,8 @@ class TestExitCodes:
             ("compare", "harmonic_trap", "packet.x_center=1e300", "x_c = 1e+300 lies outside"),
             ("compare", "free_packet", "grid.dx=1e-300", "x_c = 600 lies outside the grid"),
             ("compare", "free_packet", "grid.x_min=1e300", "x_c = 600 lies outside the grid"),
+            ("compare", "free_packet", "packet.p_center=3.5", "p_c = 3.5 aliases"),
+            ("compare", "free_packet", "grid.p_center=1e300", "p_center = 1e+300 aliases"),
         ],
     )
     def test_a_non_finite_or_empty_input_is_a_configuration_error(

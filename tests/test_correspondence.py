@@ -104,6 +104,17 @@ class TestScenarioValidation:
                 n_x=64, window_cells=24, sample_times=(1.0,), dt=0.1,
             )
 
+    def test_packet_weights_are_relative(self):
+        # ψ₀ is normalised, so only the ratios of the weights matter; a
+        # weight of 1e300 alone must not overflow on the way there
+        unit = tiny_scenario()
+        huge = dataclasses.replace(
+            unit, packets=(dataclasses.replace(unit.packets[0], weight=1e300),)
+        )
+        assert np.array_equal(
+            huge.initial_wavefunction().values, unit.initial_wavefunction().values
+        )
+
 
 class TestQuantumSamples:
     def test_yields_one_state_per_sample_time(self):

@@ -199,6 +199,34 @@ def test_chebyshev_coefficients_are_bessel_values(alpha, bound):
     assert abs(j[-1]) >= 1e-16 > abs(jv(j.size, alpha))
 
 
+def test_a_chebyshev_series_of_k_terms_takes_k_minus_1_fft_pairs(small_grid, monkeypatch):
+    """φ₀ costs no transform and each further term one FFT pair."""
+    sizes, calls = [], {"fft": 0, "ifft": 0}
+
+    def spy_coefficients(alpha):
+        j = _chebyshev_coefficients(alpha)
+        sizes.append(j.size)
+        return j
+
+    def counting(name):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        return counted
+
+    psi = init_gaussian_packet(small_grid, x_c=0.0, p_c=0.3, sigma=12.0)
+    monkeypatch.setattr("semikin.schrodinger._chebyshev_coefficients", spy_coefficients)
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    evolve(psi, HarmonicPotential(k=1e-4), 5.0, 0.05)
+    (k,) = sizes
+    assert k > 2
+    assert calls == {"fft": k - 1, "ifft": k - 1}
+
+
 class TestGuards:
     def test_oversized_step_is_refused(self, small_grid):
         # dx=1 puts the Nyquist kinetic energy near 4.93, so dt=0.2 exceeds
