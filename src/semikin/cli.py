@@ -154,11 +154,7 @@ def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
 def _cmd_liouville(scenario: Scenario, outdir: Path, args) -> None:
     *_, rho0 = prepare(scenario, args.force)
     densities = liouville_samples(
-        rho0,
-        scenario.hamiltonian(),
-        scenario.sample_times,
-        dt=scenario.dt,
-        periodic_x=scenario.periodic_x,
+        rho0, scenario.hamiltonian(), scenario.sample_times, dt=scenario.dt
     )
     masses = []
     for i, rho in enumerate(densities):

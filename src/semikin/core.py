@@ -85,7 +85,8 @@ class PhaseSpaceGrid:
     spaced by `p_spacing`; each cell is the half-open interval
     [p₀ - Δp, p₀ + Δp) with Δp = `p_halfwidth`.  The default
     construction uses Δx·Δp = πħ, i.e. p_spacing = 2Δp = 2πħ/Δx, which
-    tiles momentum without gaps at one state per cell.
+    tiles momentum without gaps at one state per cell.  `periodic_x`
+    makes the x axis a ring; otherwise it is open, as p always is.
     """
 
     x_centers: np.ndarray
@@ -93,6 +94,7 @@ class PhaseSpaceGrid:
     p_centers: np.ndarray
     p_halfwidth: float
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    periodic_x: bool = False
 
     def __post_init__(self) -> None:
         if self.window_width <= 0.0:
@@ -129,6 +131,7 @@ class PhaseSpaceGrid:
         window_cells: int,
         p_center: float = 0.0,
         n_p: int | None = None,
+        periodic_x: bool = False,
     ) -> "PhaseSpaceGrid":
         """Build the coarse grid attached to a fine spatial grid.
 
@@ -136,7 +139,8 @@ class PhaseSpaceGrid:
         cells are centered on `p_center` and tile at the dual spacing
         2πħ/Δx, so Δx·Δp = πħ; |p_center| must be below the fine grid's
         Nyquist momentum πħ/dx.
-        `n_p` defaults to `window_cells`, the full non-aliased band.
+        `n_p` defaults to `window_cells`, the full non-aliased band, and
+        `periodic_x` sets the x topology.
         """
         if not np.isfinite(p_center):
             raise ValueError(f"p_center must be finite, got {p_center!r}")
@@ -166,6 +170,7 @@ class PhaseSpaceGrid:
             p_centers=p_center + spacing * j,
             p_halfwidth=p_halfwidth,
             constants=constants,
+            periodic_x=periodic_x,
         )
 
 

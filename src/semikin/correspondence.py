@@ -93,8 +93,9 @@ class Scenario:
     grids are built once, at construction, and kept for `phase_grid()`
     and ψ₀, so an inconsistent scenario fails at once with
     `ScenarioError`; so does one whose last sample lies more than 10⁷
-    steps of `dt` away, or whose barrier is narrower than `dx` or
-    centred off the grid.
+    steps of `dt` away, whose grid holds more than 2²⁰ points, or whose
+    barrier is narrower than `dx` or centred off the grid.  `periodic_x`
+    sets the x topology of the phase-space grid and its densities.
     """
 
     name: str = "scenario"
@@ -129,11 +130,13 @@ class Scenario:
                 f"sample time {times[-1]:g} needs {times[-1] / self.dt:.3g} steps"
                 f" of dt = {self.dt:g}, more than {_MAX_STEPS}"
             )
+        if self.n_x > 2**20:
+            raise ScenarioError(f"grid of {self.n_x} points is beyond desk scale (at most {2**20})")
         try:
             grid = SpatialGrid(x_min=self.x_min, dx=self.dx, n=self.n_x)
             pg = PhaseSpaceGrid.from_spatial(
                 grid, self.constants, window_cells=self.window_cells,
-                p_center=self.grid_p_center, n_p=self.n_p,
+                p_center=self.grid_p_center, n_p=self.n_p, periodic_x=self.periodic_x,
             )
         except ValueError as exc:
             raise ScenarioError(f"inconsistent grids: {exc}") from exc
@@ -319,9 +322,7 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     m_env = np.empty(n)
     m_cl = np.empty(n)
 
-    classical = liouville_samples(
-        rho0, hamiltonian, times, dt=scenario.dt, periodic_x=scenario.periodic_x
-    )
+    classical = liouville_samples(rho0, hamiltonian, times, dt=scenario.dt)
     xc, pc, t_prev = expectation_x(psi0), expectation_p(psi0), 0.0
     for i, (psi, rho_cl) in enumerate(zip(quantum_samples(scenario, psi0), classical)):
         rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
@@ -455,14 +456,7 @@ def kinetic_scenario(scenario: Scenario, force: bool = False) -> KineticReport:
     *_, f0 = prepare(scenario, force)
     times = np.asarray(scenario.sample_times, dtype=float)
     densities = list(
-        boltzmann_samples(
-            f0,
-            scenario.hamiltonian(),
-            scenario.rates,
-            times,
-            dt=scenario.dt,
-            periodic_x=scenario.periodic_x,
-        )
+        boltzmann_samples(f0, scenario.hamiltonian(), scenario.rates, times, dt=scenario.dt)
     )
     return KineticReport(
         times=times,

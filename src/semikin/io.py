@@ -289,6 +289,9 @@ def _uniform_rates(grid: PhaseSpaceGrid, *, coupling: float, eta: float) -> Rate
     if not np.isfinite(coupling):
         raise ValueError(f"rates coupling = {coupling} must be finite")
     k = grid.p_centers.size
+    # `fermi_rates` holds several K×K arrays, and each Poisson term of a hop is a K³ product
+    if k > 1024:
+        raise ValueError(f"rates over {k} momentum cells are beyond desk scale (at most 1024)")
     v = coupling * (np.ones((k, k), dtype=complex) - np.eye(k))
     return fermi_rates(
         InteractionMatrix(values=v),

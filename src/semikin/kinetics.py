@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import PhaseSpaceDensity, PhysicalConstants
+from .core import PhaseSpaceDensity
 from .liouville import (
     _MAX_STEPS,
     HamiltonianSpec,
@@ -312,18 +312,17 @@ def number_correlator(ensemble: FockEnsemble, p: int, p_prime: int) -> complex:
     return complex(total)
 
 
-def current_density(
-    density: PhaseSpaceDensity, constants: Optional[PhysicalConstants] = None
-) -> np.ndarray:
-    """j(x) = e·Σ_p (p/m) f(x,p) Δp/(2πħ), one value per spatial cell.
+def current_density(density: PhaseSpaceDensity) -> np.ndarray:
+    """j(x) = e·Σ_p (p/m) f(x,p) Δp/(2πħ), one value per spatial cell,
+    in the constants of the density's grid.
 
     This is the one-dimensional reduction of the usual kinetic formula
     (one factor 2πħ, not three).  On a momentum grid symmetric about
     zero the ±p contributions are paired before summing, so an even
     distribution yields exactly zero.
     """
-    c = constants if constants is not None else density.grid.constants
     g = density.grid
+    c = g.constants
     p = g.p_centers
     f = density.values
     measure = c.charge * g.p_spacing / (2.0 * np.pi * c.hbar * c.mass)
@@ -349,7 +348,6 @@ def boltzmann_samples(
     rates: Optional[RateMatrix],
     times: Sequence[float],
     dt: float | None = None,
-    periodic_x: bool = False,
 ) -> Iterator[PhaseSpaceDensity]:
     """Yield f(tᵢ) at every time of `times`, streaming plus local collisions.
 
@@ -364,7 +362,8 @@ def boltzmann_samples(
     Verlet step where there is no closed form) builds one
     `TransportStencil` that moves the value arrays of them all, bit for
     bit what a fresh `evolve_liouville` per half-step gives, leak check
-    included.  Only the samples are built, and so validated, as
+    included; the topology of f₀'s grid decides whether x wraps or has
+    open edges.  Only the samples are built, and so validated, as
     densities; no failure is lost, since every half-step is a convex
     combination of finite non-negative values and the hop, non-negative
     and row-stochastic, is clipped at 0.  With no rates (None or all
@@ -375,7 +374,7 @@ def boltzmann_samples(
     if np.any(np.diff(times, prepend=0.0) < 0.0):
         raise ValueError("collisional evolution runs forward only")
     if _collisionless(rates):
-        yield from liouville_samples(f0, hamiltonian, times, dt, periodic_x)
+        yield from liouville_samples(f0, hamiltonian, times, dt)
         return
     if rates.size != f0.grid.p_centers.size:
         raise ValueError("rate matrix must live on the density's momentum cells")
@@ -387,7 +386,7 @@ def boltzmann_samples(
             # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
             hop = _hop(rates, step)
             h = 0.5 * step
-            half = TransportStencil.backtrace(f0.grid, hamiltonian, h, periodic_x)
+            half = TransportStencil.backtrace(f0.grid, hamiltonian, h)
             for _ in range(steps):
                 values = half.move(np.maximum(half.move(values) @ hop, 0.0))
                 time = (time + h) + h
@@ -401,12 +400,11 @@ def evolve_boltzmann(
     rates: Optional[RateMatrix],
     t: float,
     dt: float | None = None,
-    periodic_x: bool = False,
 ) -> PhaseSpaceDensity:
     """Streaming plus local collisions for time t ≥ 0: the one-sample
     case of `boltzmann_samples`, so with no rates it is
     `evolve_liouville` over the whole interval."""
-    return next(boltzmann_samples(f0, hamiltonian, rates, (t,), dt, periodic_x))
+    return next(boltzmann_samples(f0, hamiltonian, rates, (t,), dt))
 
 
 def entropy(occupation) -> float:

@@ -8,11 +8,13 @@ bilinear interpolation — no resampling noise, positivity preserved,
 measure conserved up to the interpolation bound.  The interpolation is
 a `TransportStencil`: a gather index array and weight array, (4, nx, np)
 each, plus a leak plane where feet leave an open edge, all built once
-from the feet.  It moves value arrays, never densities, so arrays that
-all move by the same interval (the Strang half-steps of
-`kinetics.boltzmann_samples`) share one backtrace and one stencil, and
-each sample generator builds, and so validates, its sample densities
-itself.  Which flow kernel runs follows from the potential:
+from the feet.  The grid's topology decides the edges: p is open, and
+x is open unless the grid is periodic in x, where feet wrap.  It moves
+value arrays, never densities, so arrays that all move by the same
+interval (the Strang half-steps of `kinetics.boltzmann_samples`) share
+one backtrace and one stencil, and each sample generator builds, and so
+validates, its sample densities itself.  Which flow kernel runs follows
+from the potential:
 
   free, linear, harmonic:  the potential's closed-form `flow`, exact in
                            one call for any t (the feet of every sample
@@ -154,16 +156,17 @@ def _axis_corners(frac, n: int, periodic: bool):
     return [(np.clip(i, 0, n - 1), wi * ((i >= 0) & (i < n))) for i, wi in neighbours]
 
 
-def _corners(fx, fp, shape, periodic_x: bool):
-    """(flat index, weight) of the four bilinear corners, each (4, nx, np).
+def _corners(fx, fp, grid: PhaseSpaceGrid):
+    """(flat index, weight) of the four bilinear corners on `grid`, each
+    (4, nx, np); the x axis wraps where the grid is periodic in x.
 
     The corners come in `_gather`'s summation order, so a stencil read
     has the bits of evaluating the bilinear formula in one expression.
     """
-    nx, np_ = shape
+    nx, np_ = grid.shape
     index = np.empty((4, nx, np_), dtype=np.int64)
     weight = np.empty((4, nx, np_))
-    xs = _axis_corners(fx, nx, periodic_x)
+    xs = _axis_corners(fx, nx, grid.periodic_x)
     ps = _axis_corners(fp, np_, False)
     for k, ((ix, wx), (ip, wp)) in enumerate((x, p) for p in ps for x in xs):
         index[k] = ix * np_ + ip
@@ -183,7 +186,9 @@ class TransportStencil:
     Built once from the backtrace feet of the node mesh, it holds the
     four corners of every foot (`_corners`) and, when a foot leaves an
     open edge, the `leak` plane: how much each node's ρ counts towards
-    the mass a backtrace would pull from beyond the boundary.  Feet that
+    the mass a backtrace would pull from beyond the boundary.  The
+    grid's topology decides which edges are open: p always, x unless
+    the grid is periodic in x, where the feet wrap.  Feet that
     exit the hull read ρ = 0; the data they *should* have read is
     estimated by ρ at the hull-clipped foot, weighted by how deep the
     foot penetrates (in cells, capped at one), so feet that merely graze
@@ -199,7 +204,7 @@ class TransportStencil:
     leak: np.ndarray | None
 
     @classmethod
-    def at_feet(cls, grid: PhaseSpaceGrid, feet, periodic_x: bool = False) -> TransportStencil:
+    def at_feet(cls, grid: PhaseSpaceGrid, feet) -> TransportStencil:
         """The stencil reading ρ at `feet`, the backtraced nodes of `grid`."""
         feet_x, feet_p = feet
         if not (np.all(np.isfinite(feet_x)) and np.all(np.isfinite(feet_p))):
@@ -208,14 +213,14 @@ class TransportStencil:
         fx = (feet_x - grid.x_centers[0]) / grid.window_width
         fp = (feet_p - grid.p_centers[0]) / grid.p_spacing
         pen = np.maximum(np.maximum(-fp, fp - (np_ - 1)), 0.0)
-        if not periodic_x:
+        if not grid.periodic_x:
             pen = pen + np.maximum(np.maximum(-fx, fx - (nx - 1)), 0.0)
         pen = np.minimum(pen, 1.0)
-        index, weight = _corners(fx, fp, grid.shape, periodic_x)
+        index, weight = _corners(fx, fp, grid)
         if not np.any(pen > 0.0):
             return cls(index, weight, None)
         edge_index, edge_weight = _corners(
-            np.clip(fx, 0.0, nx - 1.0), np.clip(fp, 0.0, np_ - 1.0), grid.shape, periodic_x
+            np.clip(fx, 0.0, nx - 1.0), np.clip(fp, 0.0, np_ - 1.0), grid
         )
         leak = np.bincount(
             edge_index.ravel(), (pen * edge_weight).ravel(), minlength=nx * np_
@@ -224,12 +229,12 @@ class TransportStencil:
 
     @classmethod
     def backtrace(
-        cls, grid: PhaseSpaceGrid, hamiltonian: HamiltonianSpec, t: float, periodic_x: bool = False
+        cls, grid: PhaseSpaceGrid, hamiltonian: HamiltonianSpec, t: float
     ) -> TransportStencil:
         """The stencil of one `flow_map` backtrace of the node mesh over t
         (one Verlet step where there is no closed form)."""
         feet = flow_map(*_nodes(grid), -t, abs(t), hamiltonian)
-        return cls.at_feet(grid, feet, periodic_x)
+        return cls.at_feet(grid, feet)
 
     def move(self, values: np.ndarray) -> np.ndarray:
         """ρ values of the grid's shape transported over the stencil's
@@ -252,7 +257,6 @@ def liouville_samples(
     hamiltonian: HamiltonianSpec,
     times: Sequence[float],
     dt: float | None = None,
-    periodic_x: bool = False,
 ) -> Iterator[PhaseSpaceDensity]:
     """Yield ρ(tᵢ) = ρ₀(Φ₋ₜᵢ(z)) at every time of `times`, in order.
 
@@ -283,7 +287,7 @@ def liouville_samples(
             # so t = 0 samples reproduce the initial data exactly
             yield PhaseSpaceDensity(grid=g, values=rho0.values.copy(), time=rho0.time)
             continue
-        stencil = TransportStencil.at_feet(g, feet, periodic_x)
+        stencil = TransportStencil.at_feet(g, feet)
         out = PhaseSpaceDensity(grid=g, values=stencil.move(rho0.values), time=rho0.time + t)
         if m0 > 0.0:
             drift = (phase_space_mass(out) - m0) / m0
@@ -296,16 +300,16 @@ def evolve_liouville(
     hamiltonian: HamiltonianSpec,
     t: float,
     dt: float | None = None,
-    periodic_x: bool = False,
 ) -> PhaseSpaceDensity:
     """Transport ρ₀ for time t: ρ(z, t) = ρ₀(Φ₋ₜ(z)).
 
     `dt` bounds the Verlet step of a backtrace with no closed form
     (default: one step); the density itself is interpolated exactly
-    once.  With `periodic_x` the spatial axis wraps; otherwise both axes
-    are open and a backtrace that exits the grid while ρ₀ holds
-    noticeable boundary mass raises `NumericalFailure`.  This is the one-sample case of
+    once.  The grid's topology decides the edges: on a grid periodic in
+    x the spatial axis wraps, otherwise both axes are open, and a
+    backtrace that exits an open edge while ρ₀ holds noticeable boundary
+    mass raises `NumericalFailure`.  This is the one-sample case of
     `liouville_samples`.
     """
-    return next(liouville_samples(rho0, hamiltonian, (t,), dt, periodic_x))
+    return next(liouville_samples(rho0, hamiltonian, (t,), dt))
 

@@ -103,10 +103,8 @@ class EnvelopeFunctionND:
 
 
 def _permanent(matrix: np.ndarray) -> complex:
-    """Ryser's inclusion–exclusion permanent; the empty permanent is 1."""
+    """Ryser's inclusion–exclusion permanent of a non-empty square matrix."""
     n = matrix.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
     total = 0.0 + 0.0j
     for r in range(1, n + 1):
         for cols in combinations(range(n), r):

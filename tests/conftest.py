@@ -36,8 +36,11 @@ def constants():
     return PhysicalConstants()
 
 
-def square_grid(n: int, span: float, constants: PhysicalConstants) -> PhaseSpaceGrid:
-    """n×n coarse grid covering [-span, span] on both axes.
+def square_grid(
+    n: int, span: float, constants: PhysicalConstants, periodic_x: bool = False
+) -> PhaseSpaceGrid:
+    """n×n coarse grid covering [-span, span] on both axes, a ring in x
+    when `periodic_x` is set.
 
     Used for direct Liouville tests where the grid does not come from a
     windowed transform, so the cell geometry is free.
@@ -50,6 +53,7 @@ def square_grid(n: int, span: float, constants: PhysicalConstants) -> PhaseSpace
         p_centers=p,
         p_halfwidth=float((p[1] - p[0]) / 2.0),
         constants=constants,
+        periodic_x=periodic_x,
     )
 
 

@@ -131,10 +131,11 @@ def test_criterion_04_semi_lagrangian_matches_dense_upwind_oracle():
     grid = PhaseSpaceGrid(
         x_centers=x, window_width=float(x[1] - x[0]),
         p_centers=p, p_halfwidth=float((p[1] - p[0]) / 2), constants=CONSTANTS,
+        periodic_x=True,
     )
     rho0 = gaussian_blob(grid, 0.0, 0.6, 2.2, 0.42)
     ramp = HamiltonianSpec(mass=1.0, potential=LinearPotential(force=1.0))
-    sl = evolve_liouville(rho0, ramp, 0.5, dt=0.5 / 64, periodic_x=True)
+    sl = evolve_liouville(rho0, ramp, 0.5, dt=0.5 / 64)
     fd = upwind_transport(
         rho0.values, x, p, lambda xv: np.full_like(xv, 1.0), 1.0, 0.5,
         cfl=0.9, periodic_x=True,

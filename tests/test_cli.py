@@ -202,14 +202,20 @@ class TestExitCodes:
             ("compare", "free_packet", "grid.x_min=1e300", "x_c = 600 lies outside the grid"),
             ("compare", "free_packet", "packet.p_center=3.5", "p_c = 3.5 aliases"),
             ("compare", "free_packet", "grid.p_center=1e300", "p_center = 1e+300 aliases"),
+            ("compare", "free_packet", "grid.n_x=2097152", "beyond desk scale"),
+            (
+                "kinetics", "relaxation", "grid.n_x=2048 grid.window_cells=2048 grid.n_p=1025",
+                "1025 momentum cells are beyond desk scale",
+            ),
         ],
     )
     def test_a_non_finite_or_empty_input_is_a_configuration_error(
         self, command, name, override, message, tmp_path, capsys
     ):
+        # `override` holds one or more space-separated overrides
         argv = [
-            command, "--scenario", str(SCENARIO_DIR / f"{name}.ini"),
-            "--override", override, "--out", str(tmp_path),
+            command, "--scenario", str(SCENARIO_DIR / f"{name}.ini"), "--out", str(tmp_path),
+            *(arg for pair in override.split() for arg in ("--override", pair)),
         ]
         assert main(argv) == 1
         err = capsys.readouterr().err

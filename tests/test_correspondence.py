@@ -398,8 +398,7 @@ class TestIncrementalSamples:
         report = kinetic_scenario(scenario)
         for t, f in zip(report.times, report.densities):
             direct = evolve_boltzmann(
-                f0, scenario.hamiltonian(), scenario.rates, t,
-                dt=scenario.dt, periodic_x=scenario.periodic_x,
+                f0, scenario.hamiltonian(), scenario.rates, t, dt=scenario.dt
             )
             assert f.time == direct.time
             assert np.array_equal(f.values, direct.values)

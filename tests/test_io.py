@@ -8,6 +8,7 @@ exactly; loaders must round-trip what the writers emit.
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,34 @@ class TestLoadScenario:
         assert s.rates is not None
         assert s.rates.size == 15 and s.rates.eta == 0.2
         assert s.periodic_x is True
+
+    @pytest.mark.parametrize("ini, ring", [("relaxation.ini", True), ("free_packet.ini", False)])
+    def test_the_phase_grid_carries_the_x_topology(self, ini, ring):
+        assert artifacts.load_scenario(SCENARIO_DIR / ini).phase_grid().periodic_x is ring
+
+    @pytest.mark.parametrize(
+        "ini, overrides, message",
+        [
+            ("free_packet.ini", {"grid.n_x": "2097152"}, "grid of 2097152 points"),
+            (
+                "relaxation.ini",
+                {"grid.n_x": "2048", "grid.window_cells": "2048", "grid.n_p": "1025"},
+                "rates over 1025 momentum cells",
+            ),
+        ],
+        ids=["grid.n_x", "rates"],
+    )
+    def test_beyond_desk_scale_is_refused_before_allocating(self, ini, overrides, message):
+        # the first sizes above the bounds; tracemalloc sees numpy's buffers,
+        # and the refused grid or K×K coupling would take a MiB or more
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=f"{message} .*beyond desk scale"):
+                artifacts.load_scenario(SCENARIO_DIR / ini, overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_overrides_rewrite_raw_values(self):
         s = artifacts.load_scenario(

@@ -54,16 +54,16 @@ def shell_rates(p_centers):
     return fermi_rates(InteractionMatrix(v), StateSpace(p_centers**2 / 2.0), eta=0.2)
 
 
-def strang_reference(f0, hamiltonian, rates, t, steps, periodic_x):
+def strang_reference(f0, hamiltonian, rates, t, steps):
     """The Strang loop with a fresh `evolve_liouville` at every half-step."""
     step = t / steps
     hop = _hop(rates, step)
     f = f0
     for _ in range(steps):
-        f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
+        f = evolve_liouville(f, hamiltonian, 0.5 * step)
         mixed = np.maximum(f.values @ hop, 0.0)
         f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
-        f = evolve_liouville(f, hamiltonian, 0.5 * step, periodic_x=periodic_x)
+        f = evolve_liouville(f, hamiltonian, 0.5 * step)
     return f
 
 
@@ -377,13 +377,12 @@ class TestEvolveBoltzmann:
             evolve_boltzmann(rho, FREE, None, -1.0)
 
     def test_no_rates_degenerates_to_liouville(self, constants):
-        g = square_grid(32, 6.0, constants)
+        g = square_grid(32, 6.0, constants, periodic_x=True)
         rho = gaussian_blob(g, 1.0, 0.3, 1.0, 0.8)
-        direct = evolve_liouville(rho, FREE, 1.2, dt=0.3, periodic_x=True)
-        off = evolve_boltzmann(rho, FREE, None, 1.2, dt=0.3, periodic_x=True)
+        direct = evolve_liouville(rho, FREE, 1.2, dt=0.3)
+        off = evolve_boltzmann(rho, FREE, None, 1.2, dt=0.3)
         zero = evolve_boltzmann(
-            rho, FREE, RateMatrix(values=np.zeros((32, 32)), eta=0.1),
-            1.2, dt=0.3, periodic_x=True,
+            rho, FREE, RateMatrix(values=np.zeros((32, 32)), eta=0.1), 1.2, dt=0.3
         )
         assert np.array_equal(off.values, direct.values)
         assert np.array_equal(zero.values, direct.values)
@@ -396,12 +395,12 @@ class TestEvolveBoltzmann:
     def test_zero_rates_give_the_liouville_samples_bitwise(
         self, hamiltonian, periodic_x, constants
     ):
-        g = square_grid(32, 8.0, constants)
+        g = square_grid(32, 8.0, constants, periodic_x)
         rho = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
         zero = RateMatrix(values=np.zeros((32, 32)), eta=0.1)
         times = (0.0, 0.5, 1.25)
-        ours = list(boltzmann_samples(rho, hamiltonian, zero, times, 0.125, periodic_x))
-        theirs = list(liouville_samples(rho, hamiltonian, times, 0.125, periodic_x))
+        ours = list(boltzmann_samples(rho, hamiltonian, zero, times, 0.125))
+        theirs = list(liouville_samples(rho, hamiltonian, times, 0.125))
         assert len(ours) == len(theirs) == 3
         for a, b in zip(ours, theirs):
             assert a.time == b.time
@@ -409,11 +408,11 @@ class TestEvolveBoltzmann:
 
     @pytest.mark.parametrize("collisional", [False, True], ids=["no-rates", "rates"])
     def test_a_decreasing_sample_time_raises(self, collisional, constants):
-        g = square_grid(16, 4.0, constants)
+        g = square_grid(16, 4.0, constants, periodic_x=True)
         rho = gaussian_blob(g, 0.0, 0.0, 1.0, 1.0)
         rates = shell_rates(g.p_centers) if collisional else None
         with pytest.raises(ValueError, match="forward"):
-            list(boltzmann_samples(rho, FREE, rates, (0.5, 1.0, 0.75), periodic_x=True))
+            list(boltzmann_samples(rho, FREE, rates, (0.5, 1.0, 0.75)))
 
     def test_rate_size_must_match_momentum_cells(self, constants):
         g = square_grid(16, 4.0, constants)
@@ -428,16 +427,13 @@ class TestEvolveBoltzmann:
         pc = (np.arange(15) - 7) * 0.3927
         g = PhaseSpaceGrid(
             x_centers=np.arange(32) + 0.5, window_width=1.0,
-            p_centers=pc, p_halfwidth=0.3927 / 2, constants=constants,
+            p_centers=pc, p_halfwidth=0.3927 / 2, constants=constants, periodic_x=True,
         )
         f0 = np.tile(np.exp(-((pc - 0.6) ** 2) / 0.5), (32, 1))
         v = np.full((15, 15), 0.05, dtype=complex)
         np.fill_diagonal(v, 0.0)
         rates = fermi_rates(InteractionMatrix(v), StateSpace(pc**2 / 2.0), eta=0.2)
-        out = evolve_boltzmann(
-            PhaseSpaceDensity(grid=g, values=f0), FREE, rates, 4.0, dt=0.5,
-            periodic_x=True,
-        )
+        out = evolve_boltzmann(PhaseSpaceDensity(grid=g, values=f0), FREE, rates, 4.0, dt=0.5)
         reference = evolve_master(Occupation(f0[0]), rates, 4.0)
         assert np.max(np.abs(out.values - reference.values[None, :])) < 1e-12
         assert np.max(np.ptp(out.values, axis=0)) < 1e-14, "x-uniformity broken"
@@ -448,7 +444,7 @@ class TestEvolveBoltzmann:
         pc = (np.arange(15) - 7) * 0.3927
         g = PhaseSpaceGrid(
             x_centers=np.arange(32) + 0.5, window_width=1.0,
-            p_centers=pc, p_halfwidth=0.3927 / 2, constants=constants,
+            p_centers=pc, p_halfwidth=0.3927 / 2, constants=constants, periodic_x=True,
         )
         x = np.arange(32) + 0.5
         f0 = np.exp(-((x[:, None] - 16.0) ** 2) / 32.0) * np.exp(
@@ -458,7 +454,7 @@ class TestEvolveBoltzmann:
         np.fill_diagonal(v, 0.0)
         rates = fermi_rates(InteractionMatrix(v), StateSpace(pc**2 / 2.0), eta=0.2)
         rho0 = PhaseSpaceDensity(grid=g, values=f0)
-        out = evolve_boltzmann(rho0, FREE, rates, 4.0, dt=0.5, periodic_x=True)
+        out = evolve_boltzmann(rho0, FREE, rates, 4.0, dt=0.5)
         m0, m1 = phase_space_mass(rho0), phase_space_mass(out)
         assert abs(m1 - m0) / m0 < 1e-12
 
@@ -470,11 +466,11 @@ class TestEvolveBoltzmann:
     def test_one_stencil_matches_a_fresh_transport_per_half_step(
         self, hamiltonian, periodic_x, constants
     ):
-        g = square_grid(32, 8.0, constants)
+        g = square_grid(32, 8.0, constants, periodic_x)
         rho0 = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
         rates = shell_rates(g.p_centers)
-        out = evolve_boltzmann(rho0, hamiltonian, rates, 1.0, dt=0.125, periodic_x=periodic_x)
-        reference = strang_reference(rho0, hamiltonian, rates, 1.0, 8, periodic_x)
+        out = evolve_boltzmann(rho0, hamiltonian, rates, 1.0, dt=0.125)
+        reference = strang_reference(rho0, hamiltonian, rates, 1.0, 8)
         assert out.time == reference.time
         assert np.array_equal(out.values, reference.values)
 

@@ -188,13 +188,13 @@ class TestEvolveLiouville:
         g = PhaseSpaceGrid(
             x_centers=np.arange(32) * 0.5, window_width=0.5,
             p_centers=(np.arange(8) - 4) * 0.25, p_halfwidth=0.125,
-            constants=constants,
+            constants=constants, periodic_x=True,
         )
         profile = np.exp(-((np.arange(32) - 12.0) ** 2) / 18.0)
         values = np.zeros((32, 8))
         values[:, 6] = profile  # p = 0.5; p·t = 2 cells for t = 2
         rho = PhaseSpaceDensity(grid=g, values=values)
-        out = evolve_liouville(rho, FREE, 2.0, periodic_x=True)
+        out = evolve_liouville(rho, FREE, 2.0)
         assert np.array_equal(out.values[:, 6], np.roll(profile, 2))
         assert np.all(np.delete(out.values, 6, axis=1) == 0.0)
 
@@ -296,9 +296,9 @@ class TestTransportStencil:
     def test_read_is_the_bilinear_formula_bitwise(self, hamiltonian, periodic_x, constants):
         # corner feet of the rotated open grid leave it; the free feet
         # wrap in x and graze the open p edges by rounding
-        g = square_grid(48, 8.0, constants)
+        g = square_grid(48, 8.0, constants, periodic_x)
         rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
-        stencil = TransportStencil.backtrace(g, hamiltonian, 0.7, periodic_x=periodic_x)
+        stencil = TransportStencil.backtrace(g, hamiltonian, 0.7)
         assert stencil.leak is not None
         nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
         feet_x, feet_p = flow_map(*nodes, -0.7, 0.7, hamiltonian)
