@@ -1,6 +1,7 @@
 """Grids, units and phase-space bookkeeping shared by every solver.
 
-The package works on two mutually consistent grids:
+The package works on two mutually consistent grids, which carry the
+run's unit system (the phase-space grid copies the spatial grid's):
 
 * a uniform spatial grid  x_j = x_min + j·dx,  j = 0 … n-1,  with n a
   power of two so spectral transforms stay exact (its discrete Fourier
@@ -57,11 +58,12 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform periodic spatial grid with a power-of-two point count."""
+    """Uniform periodic grid of a power-of-two point count in the units of `constants`."""
 
     x_min: float
     dx: float
     n: int
+    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.x_min):
@@ -127,13 +129,12 @@ class PhaseSpaceGrid:
     def from_spatial(
         cls,
         grid: SpatialGrid,
-        constants: PhysicalConstants,
         window_cells: int,
         p_center: float = 0.0,
         n_p: int | None = None,
         periodic_x: bool = False,
     ) -> "PhaseSpaceGrid":
-        """Build the coarse grid attached to a fine spatial grid.
+        """Build the coarse grid attached to a fine spatial grid, in its units.
 
         `window_cells` fine cells per window (must divide n).  Momentum
         cells are centered on `p_center` and tile at the dual spacing
@@ -144,7 +145,7 @@ class PhaseSpaceGrid:
         """
         if not np.isfinite(p_center):
             raise ValueError(f"p_center must be finite, got {p_center!r}")
-        p_nyquist = np.pi * constants.hbar / grid.dx
+        p_nyquist = np.pi * grid.constants.hbar / grid.dx
         if abs(p_center) >= p_nyquist:
             raise ValueError(
                 f"p_center = {p_center:g} aliases: |p_center| must be below the grid's"
@@ -155,7 +156,7 @@ class PhaseSpaceGrid:
                 f"window of {window_cells} cells does not tile a grid of {grid.n} points"
             )
         dxw = window_cells * grid.dx
-        p_halfwidth = np.pi * constants.hbar / dxw
+        p_halfwidth = np.pi * grid.constants.hbar / dxw
         spacing = 2.0 * p_halfwidth
         if n_p is None:
             n_p = window_cells
@@ -169,7 +170,7 @@ class PhaseSpaceGrid:
             window_width=dxw,
             p_centers=p_center + spacing * j,
             p_halfwidth=p_halfwidth,
-            constants=constants,
+            constants=grid.constants,
             periodic_x=periodic_x,
         )
 

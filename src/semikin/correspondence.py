@@ -28,7 +28,7 @@ mass, entropy and current histories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,8 +94,10 @@ class Scenario:
     and ψ₀, so an inconsistent scenario fails at once with
     `ScenarioError`; so does one whose last sample lies more than 10⁷
     steps of `dt` away, whose grid holds more than 2²⁰ points, or whose
-    barrier is narrower than `dx` or centred off the grid.  `periodic_x`
-    sets the x topology of the phase-space grid and its densities.
+    barrier is narrower than `dx` or centred off the grid.  `constants`
+    go to the spatial grid, whose units ψ₀ and the phase-space grid read;
+    `periodic_x` sets the x topology of the phase-space grid.  `rates` is
+    a matrix on its momentum cells, or a builder called once on it.
     """
 
     name: str = "scenario"
@@ -110,7 +112,7 @@ class Scenario:
     grid_p_center: float = 0.0
     sample_times: tuple[float, ...]
     dt: float
-    rates: Optional[RateMatrix] = None
+    rates: RateMatrix | Callable[[PhaseSpaceGrid], RateMatrix] | None = None
     periodic_x: bool = False
 
     def __post_init__(self) -> None:
@@ -133,9 +135,9 @@ class Scenario:
         if self.n_x > 2**20:
             raise ScenarioError(f"grid of {self.n_x} points is beyond desk scale (at most {2**20})")
         try:
-            grid = SpatialGrid(x_min=self.x_min, dx=self.dx, n=self.n_x)
+            grid = SpatialGrid(x_min=self.x_min, dx=self.dx, n=self.n_x, constants=self.constants)
             pg = PhaseSpaceGrid.from_spatial(
-                grid, self.constants, window_cells=self.window_cells,
+                grid, window_cells=self.window_cells,
                 p_center=self.grid_p_center, n_p=self.n_p, periodic_x=self.periodic_x,
             )
         except ValueError as exc:
@@ -146,6 +148,10 @@ class Scenario:
                 raise ScenarioError(f"barrier width = {width:g} is below dx = {self.dx:g}")
             if not lo <= x_b <= hi:
                 raise ScenarioError(f"barrier x_b = {x_b:g} lies outside the grid [{lo:g}, {hi:g}]")
+        if callable(self.rates):
+            object.__setattr__(self, "rates", self.rates(pg))
+        if self.rates is not None and self.rates.size != pg.shape[1]:
+            raise ScenarioError(f"rates of size {self.rates.size} on {pg.shape[1]} momentum cells")
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_phase_grid", pg)
 
@@ -163,18 +169,16 @@ class Scenario:
             scale = max(abs(packet.weight) for packet in self.packets)
             total = np.zeros(grid.n, dtype=np.complex128)
             for packet in self.packets:
-                part = init_gaussian_packet(
-                    grid, packet.x_center, packet.p_center, packet.sigma, self.constants
-                )
+                part = init_gaussian_packet(grid, packet.x_center, packet.p_center, packet.sigma)
                 weight = packet.weight / scale if scale > 0.0 else packet.weight
                 total = total + weight * part.values
         except ValueError as exc:
             raise ScenarioError(f"bad packet: {exc}") from exc
-        psi = WaveFunction(grid=grid, values=total, time=0.0, constants=self.constants)
+        psi = WaveFunction(grid=grid, values=total, time=0.0)
         norm = l2_norm(psi)
         if not (norm > 0.0 and np.isfinite(norm)):
             raise ScenarioError(f"the packets add up to a wavefunction of norm {norm}")
-        return WaveFunction(grid=grid, values=total / norm, time=0.0, constants=self.constants)
+        return WaveFunction(grid=grid, values=total / norm, time=0.0)
 
     def hamiltonian(self) -> HamiltonianSpec:
         return HamiltonianSpec(mass=self.constants.mass, potential=self.potential)

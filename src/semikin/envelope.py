@@ -108,7 +108,9 @@ def chi_kernel(p, p0: float, dxw: float, hbar: float = 1.0):
 def _raw_extract(psi: WaveFunction, grid: PhaseSpaceGrid) -> np.ndarray:
     """Rectangle-rule windowed Fourier transform, (n_windows × n_p)."""
     sg = psi.grid
-    hbar = psi.constants.hbar
+    hbar = sg.constants.hbar
+    if grid.constants != sg.constants:
+        raise ValueError(f"phase-space grid units {grid.constants} are not psi's {sg.constants}")
     m = int(round(grid.window_width / sg.dx))
     if m * sg.dx != grid.window_width or sg.n % m != 0:
         raise ValueError("phase-space grid windows do not tile the spatial grid")
@@ -139,14 +141,15 @@ def extract_envelope(
     The E₀t phase cancels in |A|², so densities never depend on it.
 
     The projection is computed whatever the scale separation; callers
-    gate it with `scale_check`.
+    gate it with `scale_check`.  A phase grid that does not tile ψ's
+    grid, or whose units differ from it, raises ValueError.
     """
     raw = _raw_extract(psi, grid)
     u0 = np.zeros_like(grid.x_centers) if potential is None else np.asarray(
         potential.value(grid.x_centers), dtype=float
     )
     e0 = u0[:, None] + grid.cell_energies[None, :]
-    slow = raw * np.exp(1j * e0 * psi.time / psi.constants.hbar)
+    slow = raw * np.exp(1j * e0 * psi.time / psi.grid.constants.hbar)
     return EnvelopeField(grid=grid, values=slow, time=psi.time)
 
 
@@ -164,9 +167,10 @@ def scale_check(psi: WaveFunction, grid: PhaseSpaceGrid) -> ScaleReport:
     scale is read off the windowed profile m(x₀) = (Σ_j |A|²)^½ as the
     inverse of its steepest log-derivative within the e^{-1/2}-level
     region around the peak.  A state with no carrier (p̄ ≈ 0) reports an
-    unsatisfiable carrier ratio rather than an error.
+    unsatisfiable carrier ratio rather than an error; a phase grid of
+    other units than ψ's grid raises ValueError, as in `extract_envelope`.
     """
-    c = psi.constants
+    c = psi.grid.constants
     p_fft, spectral = _spectrum(psi)
     total = float(np.sum(spectral))
     p_bar = float(np.sum(np.abs(p_fft) * spectral) / total) if total > 0 else 0.0

@@ -412,7 +412,6 @@ def load_scenario(path: Path, overrides: Optional[Mapping[str, str]] = None) -> 
 
     arguments = {"name": path.stem}
     packets = []
-    rates = None
     try:
         for name in parser.sections():
             section = parser[name]
@@ -428,8 +427,8 @@ def load_scenario(path: Path, overrides: Optional[Mapping[str, str]] = None) -> 
             if name == "potential":
                 arguments["potential"] = build(**values)
             elif name == "rates":
-                # built below, on the momentum cells of the loaded scenario
-                rates = functools.partial(build, **values)
+                # the scenario builds it on the momentum cells of its phase-space grid
+                arguments["rates"] = functools.partial(build, **values)
             elif name == "constants":
                 arguments["constants"] = PhysicalConstants(**values)
             elif name == "packet" or name.startswith("packet."):
@@ -437,8 +436,6 @@ def load_scenario(path: Path, overrides: Optional[Mapping[str, str]] = None) -> 
             else:
                 arguments.update(values)
         scenario = Scenario(packets=tuple(packets), **arguments)
-        if rates is not None:
-            scenario = dataclasses.replace(scenario, rates=rates(scenario.phase_grid()))
     except (TypeError, ValueError) as exc:
         # a missing required key surfaces as the constructor's TypeError
         raise ScenarioError(f"bad scenario file {path}: {exc}") from exc

@@ -368,8 +368,9 @@ def boltzmann_samples(
     combination of finite non-negative values and the hop, non-negative
     and row-stochastic, is clipped at 0.  With no rates (None or all
     zero) the samples are those of `liouville_samples` — identically,
-    not approximately.  Collisions
-    are irreversible, so the times, from t = 0 on, must not decrease.
+    not approximately; each is stamped f₀.time + tᵢ, as there.
+    Collisions are irreversible, so the times, from t = 0 on, must not
+    decrease.
     """
     if np.any(np.diff(times, prepend=0.0) < 0.0):
         raise ValueError("collisional evolution runs forward only")
@@ -378,7 +379,7 @@ def boltzmann_samples(
         return
     if rates.size != f0.grid.p_centers.size:
         raise ValueError("rate matrix must live on the density's momentum cells")
-    values, time, t_prev = f0.values, f0.time, 0.0
+    values, t_prev = f0.values, 0.0
     for t in times:
         if t > t_prev:
             steps = _step_count(t - t_prev, t - t_prev if dt is None else dt)
@@ -389,9 +390,8 @@ def boltzmann_samples(
             half = TransportStencil.backtrace(f0.grid, hamiltonian, h)
             for _ in range(steps):
                 values = half.move(np.maximum(half.move(values) @ hop, 0.0))
-                time = (time + h) + h
             t_prev = t
-        yield PhaseSpaceDensity(grid=f0.grid, values=values, time=time)
+        yield PhaseSpaceDensity(grid=f0.grid, values=values, time=f0.time + t)
 
 
 def evolve_boltzmann(

@@ -35,7 +35,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import PhysicalConstants, SpatialGrid, l2_norm
+from .core import SpatialGrid, l2_norm
 from .errors import NumericalFailure
 
 __all__ = [
@@ -59,12 +59,12 @@ _NORM_DRIFT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex field sampled on a spatial grid, stamped with its time."""
+    """Complex field sampled on a spatial grid, stamped with its time; its
+    ħ and m are those of the grid."""
 
     grid: SpatialGrid
     values: np.ndarray
     time: float = 0.0
-    constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.grid.n,):
@@ -194,14 +194,8 @@ PotentialSpec = Union[FreePotential, LinearPotential, HarmonicPotential, Gaussia
 # --------------------------------------------------------------------------
 
 
-def init_gaussian_packet(
-    grid: SpatialGrid,
-    x_c: float,
-    p_c: float,
-    sigma: float,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> WaveFunction:
-    """Unit-norm Gaussian packet ψ ∝ exp(-(x-x_c)²/4σ²) exp(i p_c x/ħ).
+def init_gaussian_packet(grid: SpatialGrid, x_c: float, p_c: float, sigma: float) -> WaveFunction:
+    """Unit-norm Gaussian packet ψ ∝ exp(-(x-x_c)²/4σ²) exp(i p_c x/ħ), ħ the grid's.
 
     σ is the standard deviation of |ψ|²; the packet is minimal
     uncertainty with momentum spread ħ/2σ.  Requires σ ≥ 4 dx so the
@@ -218,7 +212,8 @@ def init_gaussian_packet(
         raise ValueError(
             f"packet center x_c = {x_c:g} lies outside the grid [{x[0]:g}, {x[-1]:g}]"
         )
-    p_nyquist = math.pi * constants.hbar / grid.dx
+    hbar = grid.constants.hbar
+    p_nyquist = math.pi * hbar / grid.dx
     if abs(p_c) >= p_nyquist:
         raise ValueError(
             f"packet momentum p_c = {p_c:g} aliases: |p_c| must be below the grid's"
@@ -231,12 +226,10 @@ def init_gaussian_packet(
                 f"packet tail {tail:.3e} at grid edge x = {edge}; keep the packet"
                 " further from the boundary"
             )
-    psi = np.exp(-((x - x_c) ** 2) / (4.0 * sigma**2) + 1j * p_c * x / constants.hbar)
+    psi = np.exp(-((x - x_c) ** 2) / (4.0 * sigma**2) + 1j * p_c * x / hbar)
     psi = psi.astype(np.complex128)
-    wf = WaveFunction(grid=grid, values=psi, time=0.0, constants=constants)
-    return WaveFunction(
-        grid=grid, values=psi / l2_norm(wf), time=0.0, constants=constants
-    )
+    wf = WaveFunction(grid=grid, values=psi, time=0.0)
+    return WaveFunction(grid=grid, values=psi / l2_norm(wf), time=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -244,13 +237,13 @@ def init_gaussian_packet(
 # --------------------------------------------------------------------------
 
 
-def _momenta_fft(grid: SpatialGrid, hbar: float) -> np.ndarray:
-    return 2.0 * np.pi * hbar * np.fft.fftfreq(grid.n, d=grid.dx)
+def _momenta_fft(grid: SpatialGrid) -> np.ndarray:
+    return 2.0 * np.pi * grid.constants.hbar * np.fft.fftfreq(grid.n, d=grid.dx)
 
 
 def _spectrum(psi: WaveFunction) -> tuple[np.ndarray, np.ndarray]:
     """The FFT momenta p and the unnormalised power |ψ̂(p)|² of ψ."""
-    return _momenta_fft(psi.grid, psi.constants.hbar), np.abs(np.fft.fft(psi.values)) ** 2
+    return _momenta_fft(psi.grid), np.abs(np.fft.fft(psi.values)) ** 2
 
 
 def _chebyshev_coefficients(alpha: float) -> np.ndarray:
@@ -286,9 +279,9 @@ def evolve(
     max|U| on the grid; :class:`NumericalFailure` is raised when it
     fails or when the norm drifts by more than 1e-8.
     """
-    c = psi.constants
     grid = psi.grid
-    p = _momenta_fft(grid, c.hbar)
+    c = grid.constants
+    p = _momenta_fft(grid)
     v = potential.value(grid.x)
     kinetic = p**2 / (2.0 * c.mass)
     e_max = float(np.max(kinetic) + np.max(np.abs(v)))
@@ -341,7 +334,7 @@ def evolve(
                 np.multiply(cur, w, out=buf)
                 values += buf
         values *= np.exp(-1j * b * tau)
-    out = WaveFunction(grid=grid, values=values, time=psi.time + t, constants=c)
+    out = WaveFunction(grid=grid, values=values, time=psi.time + t)
     drift = abs(l2_norm(out) - norm_in) / norm_in
     if not np.isfinite(drift) or drift > _NORM_DRIFT_TOL:
         raise NumericalFailure(f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL}")
@@ -362,7 +355,7 @@ def expectation_p(psi: WaveFunction) -> float:
 def energy(psi: WaveFunction, potential: PotentialSpec) -> float:
     """⟨T⟩ + ⟨U⟩ with the kinetic part summed in momentum space."""
     p, w = _spectrum(psi)
-    kinetic = float(np.sum(p**2 / (2.0 * psi.constants.mass) * w) / np.sum(w))
+    kinetic = float(np.sum(p**2 / (2.0 * psi.grid.constants.mass) * w) / np.sum(w))
     dens = np.abs(psi.values) ** 2
     pot = float(np.sum(potential.value(psi.grid.x) * dens) / np.sum(dens))
     return kinetic + pot

@@ -23,6 +23,7 @@ FILES = {
     # headerless, like rates.csv
     "run/rates.csv": "-1.0,1.0\n2.0,-2.0\n",
     "run.exit": "0\n",
+    "run/final_density.json": '{\n  "dx": 16.0,\n  "time": 63.9999999999985\n}\n',
 }
 
 
@@ -42,7 +43,7 @@ def test_identical_trees_compare_equal(tmp_path, capsys):
     a = _tree(tmp_path / "a", FILES)
     b = _tree(tmp_path / "b", FILES)
     assert artifact_sweep.compare(a, b) is True
-    assert capsys.readouterr().out == "3 shared files, identical\n"
+    assert capsys.readouterr().out == "4 shared files, identical\n"
 
 
 @pytest.mark.parametrize(
@@ -51,15 +52,21 @@ def test_identical_trees_compare_equal(tmp_path, capsys):
         ("run/metrics.csv", "t,l1\n0.0,0.25\n16.0,0.4\n", "    l1: max relative difference 2.000e-01"),
         # the first line of a headerless file is a row, not a header
         ("run/rates.csv", "-1.0,1.5\n2.0,-2.0\n", "    column 1: max relative difference 3.333e-01"),
+        # a JSON file names the key path of each differing value
+        (
+            "run/final_density.json",
+            '{\n  "dx": 16.0,\n  "time": 64.0\n}\n',
+            "    time: 63.9999999999985 vs 64.0",
+        ),
     ],
-    ids=["header", "headerless"],
+    ids=["header", "headerless", "json"],
 )
 def test_a_differing_byte_names_the_file_and_column(name, text, note, tmp_path, capsys):
     a = _tree(tmp_path / "a", FILES)
     b = _tree(tmp_path / "b", {**FILES, name: text})
     assert artifact_sweep.compare(a, b) is False
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"differs: {name}", note, "3 shared files, NOT identical"]
+    assert lines == [f"differs: {name}", note, "4 shared files, NOT identical"]
 
 
 def test_a_file_on_one_side_only_differs(tmp_path, capsys):
@@ -68,4 +75,4 @@ def test_a_file_on_one_side_only_differs(tmp_path, capsys):
     assert artifact_sweep.compare(a, b) is False
     out = capsys.readouterr().out
     assert f"only in {b}: run/extra.csv" in out
-    assert out.endswith("3 shared files, NOT identical\n")
+    assert out.endswith("4 shared files, NOT identical\n")

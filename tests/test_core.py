@@ -49,33 +49,39 @@ class TestSpatialGrid:
         with pytest.raises(ValueError):
             SpatialGrid(x_min=0.0, dx=-1.0, n=16)
 
+    def test_natural_units_by_default_and_the_phase_grid_copies_them(self):
+        assert SpatialGrid(x_min=0.0, dx=1.0, n=16).constants == PhysicalConstants()
+        c = PhysicalConstants(hbar=2.0, mass=3.0)
+        sg = SpatialGrid(x_min=0.0, dx=1.0, n=256, constants=c)
+        assert PhaseSpaceGrid.from_spatial(sg, window_cells=16).constants is c
+
 
 class TestPhaseSpaceGrid:
-    def test_from_spatial_planck_cells(self, constants):
+    def test_from_spatial_planck_cells(self):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=256)
-        g = PhaseSpaceGrid.from_spatial(sg, constants, window_cells=16)
+        g = PhaseSpaceGrid.from_spatial(sg, window_cells=16)
         assert g.shape == (16, 16)
         assert g.window_width == 16.0
         # default coarse-graining relation: Δx·Δp = πħ, cell area 2πħ
         assert g.p_halfwidth == pytest.approx(np.pi / 16.0, rel=1e-15)
         assert g.cell_area == pytest.approx(2 * np.pi, rel=1e-15)
 
-    def test_momentum_cells_tile_around_center(self, constants):
+    def test_momentum_cells_tile_around_center(self):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=256)
-        g = PhaseSpaceGrid.from_spatial(sg, constants, window_cells=16, p_center=0.7)
+        g = PhaseSpaceGrid.from_spatial(sg, window_cells=16, p_center=0.7)
         assert 0.7 in g.p_centers
         assert np.allclose(np.diff(g.p_centers), 2 * g.p_halfwidth, rtol=1e-15)
 
-    def test_window_must_tile_grid(self, constants):
+    def test_window_must_tile_grid(self):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=256)
         with pytest.raises(ValueError, match="does not tile"):
-            PhaseSpaceGrid.from_spatial(sg, constants, window_cells=24)
+            PhaseSpaceGrid.from_spatial(sg, window_cells=24)
 
     @pytest.mark.parametrize("n_p", [0, 17, -3])
-    def test_momentum_cell_count_bounds(self, constants, n_p):
+    def test_momentum_cell_count_bounds(self, n_p):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=256)
         with pytest.raises(ValueError, match="n_p"):
-            PhaseSpaceGrid.from_spatial(sg, constants, window_cells=16, n_p=n_p)
+            PhaseSpaceGrid.from_spatial(sg, window_cells=16, n_p=n_p)
 
     def test_rejects_degenerate_cells(self, constants):
         with pytest.raises(ValueError):
@@ -89,17 +95,17 @@ class TestPhaseSpaceGrid:
 
 
 class TestPhaseSpaceDensity:
-    def _grid(self, constants):
+    def _grid(self):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=64)
-        return PhaseSpaceGrid.from_spatial(sg, constants, window_cells=16)
+        return PhaseSpaceGrid.from_spatial(sg, window_cells=16)
 
-    def test_shape_checked(self, constants):
-        g = self._grid(constants)
+    def test_shape_checked(self):
+        g = self._grid()
         with pytest.raises(ValueError, match="shape"):
             PhaseSpaceDensity(grid=g, values=np.zeros((3, 3)))
 
-    def test_rejects_negative_and_nonfinite(self, constants):
-        g = self._grid(constants)
+    def test_rejects_negative_and_nonfinite(self):
+        g = self._grid()
         bad = np.zeros(g.shape)
         bad[1, 2] = -1e-12
         with pytest.raises(ValueError, match="non-negative"):
@@ -110,9 +116,9 @@ class TestPhaseSpaceDensity:
 
 
 class TestPhaseSpaceMass:
-    def test_single_planck_cell_has_unit_mass(self, constants):
+    def test_single_planck_cell_has_unit_mass(self):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=64)
-        g = PhaseSpaceGrid.from_spatial(sg, constants, window_cells=16)
+        g = PhaseSpaceGrid.from_spatial(sg, window_cells=16)
         values = np.zeros(g.shape)
         values[2, 3] = 1.0
         assert phase_space_mass(PhaseSpaceDensity(grid=g, values=values)) == 1.0
@@ -121,14 +127,12 @@ class TestPhaseSpaceMass:
         # the default relation locks the cell area to 2πħ, so the measure
         # weight is 1 regardless of ħ — bitwise when ħ scales by a power
         # of two, otherwise up to the one rounding in πħ/16
-        sg = SpatialGrid(x_min=0.0, dx=1.0, n=64)
         rng = np.random.default_rng(42)
         values = rng.random((4, 16))
         masses = []
         for hbar in (1.0, 0.5, 2.7):
-            g = PhaseSpaceGrid.from_spatial(
-                sg, PhysicalConstants(hbar=hbar), window_cells=16
-            )
+            sg = SpatialGrid(x_min=0.0, dx=1.0, n=64, constants=PhysicalConstants(hbar=hbar))
+            g = PhaseSpaceGrid.from_spatial(sg, window_cells=16)
             masses.append(phase_space_mass(PhaseSpaceDensity(grid=g, values=values)))
         assert masses[0] == masses[1]
         assert masses[2] == pytest.approx(masses[0], rel=1e-14)
@@ -137,7 +141,7 @@ class TestPhaseSpaceMass:
     @settings(max_examples=25, deadline=None)
     def test_mass_is_linear_in_the_density(self, scale):
         sg = SpatialGrid(x_min=0.0, dx=1.0, n=64)
-        g = PhaseSpaceGrid.from_spatial(sg, PhysicalConstants(), window_cells=16)
+        g = PhaseSpaceGrid.from_spatial(sg, window_cells=16)
         values = np.random.default_rng(7).random(g.shape)
         base = phase_space_mass(PhaseSpaceDensity(grid=g, values=values))
         scaled = phase_space_mass(PhaseSpaceDensity(grid=g, values=scale * values))

@@ -31,7 +31,7 @@ from semikin.correspondence import (
 from semikin.envelope import ScaleReport
 from semikin.errors import NumericalFailure, ScenarioError
 from semikin.io import load_scenario
-from semikin.kinetics import evolve_boltzmann
+from semikin.kinetics import RateMatrix, evolve_boltzmann
 from semikin.liouville import _step_count
 from semikin.schrodinger import FreePotential
 
@@ -103,6 +103,22 @@ class TestScenarioValidation:
                 name="x", packets=(PacketSpec(32.0, 1.0, 4.0),), dx=1.0,
                 n_x=64, window_cells=24, sample_times=(1.0,), dt=0.1,
             )
+
+    def test_a_rate_matrix_off_the_momentum_cells_is_refused(self):
+        # tiny_scenario has 16 momentum cells; kinetics would fail only when run
+        with pytest.raises(ScenarioError, match="rates of size 2 on 16 momentum cells"):
+            dataclasses.replace(tiny_scenario(), rates=RateMatrix(values=np.zeros((2, 2)), eta=0.1))
+
+    def test_a_rates_builder_runs_once_on_the_phase_grid(self):
+        grids = []
+
+        def build(grid):
+            grids.append(grid)
+            return RateMatrix(values=np.zeros((16, 16)), eta=0.1)
+
+        scenario = dataclasses.replace(tiny_scenario(), rates=build)
+        assert len(grids) == 1 and grids[0] is scenario.phase_grid()
+        assert isinstance(scenario.rates, RateMatrix)
 
     def test_packet_weights_are_relative(self):
         # ψ₀ is normalised, so only the ratios of the weights matter; a
@@ -335,6 +351,13 @@ class TestKineticScenario:
         assert report.entropy[-1] > report.entropy[0] + 0.1
         assert report.current.shape == (5, 64)
         assert len(report.densities) == 5
+
+    def test_each_density_is_stamped_with_its_sample_time(self):
+        # a clock summing 640 Strang half-steps of dt = 0.1 reads 63.9999999999985
+        scenario = load_scenario(SCENARIO_DIR / "relaxation.ini")
+        densities = kinetic_scenario(scenario).densities
+        assert densities[-1].time == 64.0
+        assert [f.time for f in densities] == list(scenario.sample_times)
 
     def test_drifting_distribution_loses_its_current(self):
         scenario = load_scenario(SCENARIO_DIR / "drifting_relaxation.ini")

@@ -44,27 +44,27 @@ def packet(fine_grid):
 
 
 @pytest.fixture
-def coarse(fine_grid, constants):
-    return PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=1.0)
+def coarse(fine_grid):
+    return PhaseSpaceGrid.from_spatial(fine_grid, window_cells=16, p_center=1.0)
 
 
 class TestPlaneWaveExtraction:
     """An on-grid carrier must be reproduced exactly, cell by cell."""
 
-    def test_amplitude_lands_in_its_cell(self, fine_grid, constants):
+    def test_amplitude_lands_in_its_cell(self, fine_grid):
         p0 = 2 * np.pi * 326 / 2048.0  # on-grid and on a cell center
         amp = 0.021
         psi = WaveFunction(
             grid=fine_grid, values=amp * np.exp(1j * p0 * fine_grid.x), time=0.0
         )
-        grid = PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=p0)
+        grid = PhaseSpaceGrid.from_spatial(fine_grid, window_cells=16, p_center=p0)
         a = extract_envelope(psi, grid).values
         jc = int(np.argmin(np.abs(grid.p_centers - p0)))
         assert np.max(np.abs(a[:, jc] - amp)) < 1e-12
         off = np.delete(a, jc, axis=1)
         assert np.max(np.abs(off)) < 1e-12, "carrier bled into other momentum cells"
 
-    def test_slow_time_convention_freezes_the_envelope(self, fine_grid, constants):
+    def test_slow_time_convention_freezes_the_envelope(self, fine_grid):
         # dividing out e^{iE₀t/ħ} with E₀ = p₀²/2m makes the envelope of a
         # free carrier time-independent
         p0 = 2 * np.pi * 326 / 2048.0
@@ -73,7 +73,7 @@ class TestPlaneWaveExtraction:
             values=np.exp(1j * p0 * fine_grid.x) / np.sqrt(2048.0),
             time=0.0,
         )
-        grid = PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=p0)
+        grid = PhaseSpaceGrid.from_spatial(fine_grid, window_cells=16, p_center=p0)
         a0 = extract_envelope(psi, grid).values
         later = evolve(psi, FreePotential(), 5.0, 0.1)
         a1 = extract_envelope(later, grid).values
@@ -157,41 +157,51 @@ class TestChiKernel:
 
 
 class TestScaleGates:
-    def test_plane_wave_is_well_separated(self, fine_grid, constants):
+    def test_plane_wave_is_well_separated(self, fine_grid):
         p0 = 2 * np.pi * 326 / 2048.0
         psi = WaveFunction(
             grid=fine_grid,
             values=np.exp(1j * p0 * fine_grid.x) / np.sqrt(2048.0),
             time=0.0,
         )
-        grid = PhaseSpaceGrid.from_spatial(fine_grid, constants, window_cells=16, p_center=p0)
+        grid = PhaseSpaceGrid.from_spatial(fine_grid, window_cells=16, p_center=p0)
         report = scale_check(psi, grid)
         assert report.satisfied
         assert report.carrier_ratio == pytest.approx(0.0625, rel=1e-3)
         assert report.envelope_ratio < 1e-12  # flat profile: no steepness
 
-    def test_narrow_packet_trips_the_envelope_gate(self, constants):
+    def test_narrow_packet_trips_the_envelope_gate(self):
         grid = SpatialGrid(x_min=0.0, dx=1.0, n=1024)
-        coarse = PhaseSpaceGrid.from_spatial(grid, constants, window_cells=16, p_center=1.0)
+        coarse = PhaseSpaceGrid.from_spatial(grid, window_cells=16, p_center=1.0)
         sharp = scale_check(init_gaussian_packet(grid, 512.0, 1.0, sigma=40.0), coarse)
         wide = scale_check(init_gaussian_packet(grid, 512.0, 1.0, sigma=48.0), coarse)
         assert not sharp.satisfied and sharp.envelope_ratio > 0.25
         assert wide.satisfied and wide.envelope_ratio <= 0.25
 
-    def test_carrier_free_state_cannot_satisfy(self, constants):
+    def test_carrier_free_state_cannot_satisfy(self):
         grid = SpatialGrid(x_min=0.0, dx=1.0, n=2048)
-        coarse = PhaseSpaceGrid.from_spatial(grid, constants, window_cells=16)
+        coarse = PhaseSpaceGrid.from_spatial(grid, window_cells=16)
         report = scale_check(init_gaussian_packet(grid, 1024.0, 0.0, sigma=50.0), coarse)
         assert not report.satisfied
         assert report.carrier_ratio > 0.25
 
-    def test_extraction_computes_on_a_failing_packet(self, constants):
+    def test_extraction_computes_on_a_failing_packet(self):
         grid = SpatialGrid(x_min=0.0, dx=1.0, n=1024)
-        coarse = PhaseSpaceGrid.from_spatial(grid, constants, window_cells=16, p_center=1.0)
+        coarse = PhaseSpaceGrid.from_spatial(grid, window_cells=16, p_center=1.0)
         psi = init_gaussian_packet(grid, 512.0, 1.0, sigma=40.0)
         assert not scale_check(psi, coarse).satisfied
         field = extract_envelope(psi, coarse)
         assert np.all(np.isfinite(field.values))
+
+
+@pytest.mark.parametrize("project", [extract_envelope, scale_check], ids=lambda f: f.__name__)
+def test_a_phase_grid_of_other_units_is_refused(project, coarse):
+    # unchecked, a packet in ħ = 2 on this ħ = 1 phase grid passes the
+    # scale gate and reads an envelope mass of 0.1225 where 1/Δx = 0.0625
+    grid = SpatialGrid(x_min=0.0, dx=1.0, n=2048, constants=PhysicalConstants(hbar=2.0))
+    psi = init_gaussian_packet(grid, x_c=1024.0, p_c=1.0, sigma=48.0)
+    with pytest.raises(ValueError, match="units"):
+        project(psi, coarse)
 
 
 def test_envelope_field_validates_shape(coarse):

@@ -16,7 +16,7 @@ import pytest
 
 import semikin
 from semikin import io as artifacts
-from semikin.core import PhaseSpaceDensity, SpatialGrid
+from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, SpatialGrid
 from semikin.correspondence import (
     BarrierSummary,
     CorrespondenceReport,
@@ -349,6 +349,20 @@ class TestLoadScenario:
         assert s.rates is not None
         assert s.rates.size == 15 and s.rates.eta == 0.2
         assert s.periodic_x is True
+
+    @pytest.mark.parametrize("ini", ["relaxation.ini", "free_packet.ini"])
+    def test_a_scenario_builds_its_phase_grid_once(self, ini, monkeypatch):
+        # a [rates] scenario builds its matrix on the grid of its one construction
+        calls = []
+        build = PhaseSpaceGrid.from_spatial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(PhaseSpaceGrid, "from_spatial", counted)
+        artifacts.load_scenario(SCENARIO_DIR / ini)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("ini, ring", [("relaxation.ini", True), ("free_packet.ini", False)])
     def test_the_phase_grid_carries_the_x_topology(self, ini, ring):

@@ -10,6 +10,8 @@ coefficients against scipy, and check the unitarity, the classical
 moments, time reversal and the stability guard.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,16 +48,24 @@ class TestGaussianPacket:
         assert expectation_x(psi) == pytest.approx(-20.0, abs=1e-10)
         assert expectation_p(psi) == pytest.approx(0.5, abs=1e-12)
 
-    def test_momentum_rule_scales_with_hbar(self, small_grid):
+    def test_momentum_rule_scales_with_hbar(self):
         # the FFT momenta are 2πħ·k/L: with ħ = 1/2 the carrier e^{ip_c x/ħ}
         # must still read ⟨p⟩ = p_c, and the minimal-uncertainty spread
         # ħ/2σ adds ħ²/8mσ² to the kinetic energy
         hbar, p_c, sigma = 0.5, 0.5, 16.0
-        c = PhysicalConstants(hbar=hbar)
-        psi = init_gaussian_packet(small_grid, x_c=-20.0, p_c=p_c, sigma=sigma, constants=c)
+        grid = SpatialGrid(x_min=-256.0, dx=1.0, n=512, constants=PhysicalConstants(hbar=hbar))
+        psi = init_gaussian_packet(grid, x_c=-20.0, p_c=p_c, sigma=sigma)
         assert expectation_p(psi) == pytest.approx(p_c, abs=1e-12)
         expected = p_c**2 / 2.0 + hbar**2 / (8.0 * sigma**2)
         assert energy(psi, FreePotential()) == pytest.approx(expected, rel=1e-12)
+
+    def test_a_packet_reads_hbar_from_its_grid(self):
+        # the bytes of the same packet built with ħ = 2 passed beside a
+        # natural-units grid, as packets were built before grids held units
+        grid = SpatialGrid(x_min=-256.0, dx=1.0, n=512, constants=PhysicalConstants(hbar=2.0))
+        psi = init_gaussian_packet(grid, x_c=-20.0, p_c=0.5, sigma=16.0)
+        digest = hashlib.sha256(psi.values.tobytes()).hexdigest()
+        assert digest == "aaa3757ee806dc7d78fd6221bf36edc77c811ff8d58354f722d395bf586e27e5"
 
     def test_plane_wave_energy_is_kinetic(self):
         # single on-grid Fourier mode: the spectral kinetic term is exact

@@ -17,9 +17,11 @@ With ``--against ROOT2`` it then compares ``ROOT`` with ``ROOT2`` file by
 file.  It lists every file present on one side only and every file whose
 bytes differ; for a differing CSV it prints the largest relative
 difference of each differing column, for a differing ``.bin`` that of
-its float64 values.  The exit status is 0 only when the two roots hold
-the same files with the same bytes.  Either flag may be given alone:
-``--out ROOT --against ROOT2`` compares two existing sweeps.
+its float64 values, and for a differing JSON file the key path of each
+differing value with both values.  The exit status is 0 only when the
+two roots hold the same files with the same bytes.  Either flag may be
+given alone: ``--out ROOT --against ROOT2`` compares two existing
+sweeps.
 
 Standard library and numpy only.  A sweep runs 55 processes one after
 the other and takes about 50 s on two cores.
@@ -28,6 +30,7 @@ the other and takes about 50 s on two cores.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -117,9 +120,30 @@ def _explain_csv(a: Path, b: Path) -> list[str]:
     return notes
 
 
+def _json_notes(a, b, path: str):
+    """One note per differing leaf of two parsed JSON values, named by its
+    key path; a differing list of numbers gets its max relative difference."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _json_notes(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+        return
+    if a == b:
+        return
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        try:
+            rel = _relative(np.array(a, dtype=float), np.array(b, dtype=float))
+            yield f"    {path}: max relative difference {rel:.3e}"
+            return
+        except (TypeError, ValueError):
+            pass
+    yield f"    {path}: {a!r} vs {b!r}"
+
+
 def _explain(a: Path, b: Path) -> list[str]:
     if a.suffix == ".csv":
         return _explain_csv(a, b)
+    if a.suffix == ".json":
+        return list(_json_notes(json.loads(a.read_text()), json.loads(b.read_text()), ""))
     if a.suffix == ".bin":
         rel = _relative(np.fromfile(a, dtype="<f8"), np.fromfile(b, dtype="<f8"))
         return [f"    max relative difference {rel:.3e}"]
