@@ -153,9 +153,7 @@ def _cmd_envelope(scenario: Scenario, outdir: Path, args) -> None:
 
 def _cmd_liouville(scenario: Scenario, outdir: Path, args) -> None:
     *_, rho0 = prepare(scenario, args.force)
-    densities = liouville_samples(
-        rho0, scenario.hamiltonian(), scenario.sample_times, dt=scenario.dt
-    )
+    densities = liouville_samples(rho0, scenario.potential, scenario.sample_times, dt=scenario.dt)
     masses = []
     for i, rho in enumerate(densities):
         artifacts.save_density(rho, outdir / f"rho_{i:03d}", binary=args.dump_binary)
@@ -214,12 +212,7 @@ def _cmd_kinetics(scenario: Scenario, outdir: Path, args) -> None:
     report = kinetic_scenario(scenario, force=args.force)
     artifacts.save_kinetic_report(report, outdir, binary=args.dump_binary)
     if scenario.rates is not None:
-        artifacts.save_rate_matrix(
-            scenario.rates,
-            scenario.phase_grid().cell_energies,
-            scenario.constants.hbar,
-            outdir / "rates",
-        )
+        artifacts.save_rate_matrix(scenario.rates, scenario.phase_grid(), outdir / "rates")
 
 
 def _cmd_compare(scenario: Scenario, outdir: Path, args) -> None:

@@ -43,7 +43,7 @@ from .core import (
 from .envelope import ScaleReport, envelope_density, extract_envelope, scale_check
 from .errors import ScenarioError
 from .kinetics import RateMatrix, boltzmann_samples, current_density, entropy
-from .liouville import _MAX_STEPS, HamiltonianSpec, flow_map, liouville_samples
+from .liouville import _MAX_STEPS, flow_map, liouville_samples
 from .schrodinger import (
     FreePotential,
     GaussianBarrier,
@@ -95,7 +95,8 @@ class Scenario:
     `ScenarioError`; so does one whose last sample lies more than 10⁷
     steps of `dt` away, whose grid holds more than 2²⁰ points, or whose
     barrier is narrower than `dx` or centred off the grid.  `constants`
-    go to the spatial grid, whose units ψ₀ and the phase-space grid read;
+    go to the spatial grid, whose units ψ₀ and the phase-space grid read,
+    so every transport of the scenario reads m from its density's grid;
     `periodic_x` sets the x topology of the phase-space grid.  `rates` is
     a matrix on its momentum cells, or a builder called once on it.
     """
@@ -179,9 +180,6 @@ class Scenario:
         if not (norm > 0.0 and np.isfinite(norm)):
             raise ScenarioError(f"the packets add up to a wavefunction of norm {norm}")
         return WaveFunction(grid=grid, values=total / norm, time=0.0)
-
-    def hamiltonian(self) -> HamiltonianSpec:
-        return HamiltonianSpec(mass=self.constants.mass, potential=self.potential)
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,6 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     deterministic in the scenario.
     """
     psi0, pg, report_scale, rho0 = prepare(scenario, force)
-    hamiltonian = scenario.hamiltonian()
     mass_ref = phase_space_mass(rho0)
     l2_ref = float(np.sqrt(np.sum(rho0.values**2)))
 
@@ -326,14 +323,17 @@ def run_correspondence(scenario: Scenario, force: bool = False) -> Correspondenc
     m_env = np.empty(n)
     m_cl = np.empty(n)
 
-    classical = liouville_samples(rho0, hamiltonian, times, dt=scenario.dt)
+    # refuses a potential with no classical flow before any quantum work
+    classical = liouville_samples(rho0, scenario.potential, times, dt=scenario.dt)
     xc, pc, t_prev = expectation_x(psi0), expectation_p(psi0), 0.0
     for i, (psi, rho_cl) in enumerate(zip(quantum_samples(scenario, psi0), classical)):
         rho_env = envelope_density(extract_envelope(psi, pg, potential=scenario.potential))
         l1[i], l2[i] = _relative_distances(rho_env, rho_cl, mass_ref, l2_ref)
         x_q[i], p_q[i] = expectation_x(psi), expectation_p(psi)
         # the packet-center characteristic continues from the previous sample
-        xc, pc = flow_map(xc, pc, times[i] - t_prev, scenario.dt, hamiltonian)
+        xc, pc = flow_map(
+            xc, pc, times[i] - t_prev, scenario.dt, scenario.potential, pg.constants.mass
+        )
         t_prev = times[i]
         x_c[i], p_c[i] = float(xc), float(pc)
         m_env[i] = phase_space_mass(rho_env)
@@ -413,9 +413,7 @@ def barrier_split_experiment(scenario: Scenario, force: bool = False) -> Corresp
     for label, (xs, ps, fractions) in zip(("transmitted", "reflected"), tracks.transpose(0, 2, 1)):
         if fractions[0] <= 1e-6:
             continue  # e.g. no reflected lobe for a transparent barrier
-        x_pred, p_pred = FreePotential().flow(
-            xs[0], ps[0], times - times[0], scenario.constants.mass
-        )
+        x_pred, p_pred = FreePotential().flow(xs[0], ps[0], times - times[0], pg.constants.mass)
         lobes.append(
             LobeTrack(
                 label=label,
@@ -460,7 +458,7 @@ def kinetic_scenario(scenario: Scenario, force: bool = False) -> KineticReport:
     *_, f0 = prepare(scenario, force)
     times = np.asarray(scenario.sample_times, dtype=float)
     densities = list(
-        boltzmann_samples(f0, scenario.hamiltonian(), scenario.rates, times, dt=scenario.dt)
+        boltzmann_samples(f0, scenario.potential, scenario.rates, times, dt=scenario.dt)
     )
     return KineticReport(
         times=times,

@@ -87,8 +87,9 @@ class ScaleReport:
     satisfied: bool
 
 
-def chi_kernel(p, p0: float, dxw: float, hbar: float = 1.0):
-    """Projection kernel χ(p, p₀) for a window of width Δx = `dxw`.
+def chi_kernel(p, p0: float, dxw: float, *, hbar: float):
+    """Projection kernel χ(p, p₀) for a window of width Δx = `dxw`, in the
+    units of `hbar`.
 
     Evaluates -iħ/(Δx(p-p₀))·(e^{i(p-p₀)Δx/ħ} - 1) with the removable
     singularity at p = p₀ filled with its limit value 1.

@@ -212,19 +212,18 @@ def save_wavefunction(psi: WaveFunction, base: Path, binary: bool = False) -> No
     )
 
 
-def save_rate_matrix(
-    rates: RateMatrix, energies: np.ndarray, hbar: float, base: Path
-) -> None:
-    """Headerless K×K CSV of rates plus a JSON sidecar {energies, eta, hbar}."""
+def save_rate_matrix(rates: RateMatrix, grid: PhaseSpaceGrid, base: Path) -> None:
+    """Headerless K×K CSV of rates plus a JSON sidecar {energies, eta, hbar},
+    with the cell energies and ħ of the phase-space grid the rates live on."""
     base = Path(base)
     rows = map(",".join, map(_text, rates.values))
     atomic_write_text(base.with_suffix(".csv"), "\n".join(rows) + "\n")
     write_json(
         base.with_suffix(".json"),
         {
-            "energies": np.asarray(energies, dtype=float),
+            "energies": grid.cell_energies,
             "eta": float(rates.eta),
-            "hbar": float(hbar),
+            "hbar": float(grid.constants.hbar),
         },
     )
 

@@ -34,13 +34,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import PhaseSpaceDensity
-from .liouville import (
-    _MAX_STEPS,
-    HamiltonianSpec,
-    TransportStencil,
-    _step_count,
-    liouville_samples,
-)
+from .liouville import _MAX_STEPS, TransportStencil, _step_count, liouville_samples
+from .schrodinger import PotentialSpec
 
 __all__ = [
     "StateSpace",
@@ -186,9 +181,10 @@ class FockEnsemble:
 
 
 def fermi_rates(
-    coupling: InteractionMatrix, states: StateSpace, eta: float, hbar: float = 1.0
+    coupling: InteractionMatrix, states: StateSpace, eta: float, *, hbar: float
 ) -> RateMatrix:
-    """Golden-rule rate matrix with Gaussian-broadened energy conservation."""
+    """Golden-rule rate matrix with Gaussian-broadened energy conservation,
+    in the units of `hbar`."""
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"broadening must be positive and finite, got {eta}")
     v = coupling.values
@@ -344,12 +340,13 @@ def _collisionless(rates: Optional[RateMatrix]) -> bool:
 
 def boltzmann_samples(
     f0: PhaseSpaceDensity,
-    hamiltonian: HamiltonianSpec,
+    potential: PotentialSpec,
     rates: Optional[RateMatrix],
     times: Sequence[float],
     dt: float | None = None,
 ) -> Iterator[PhaseSpaceDensity]:
-    """Yield f(tᵢ) at every time of `times`, streaming plus local collisions.
+    """Yield f(tᵢ) at every time of `times`, streaming under p²/2m + U,
+    with m read from f₀'s grid, plus local collisions.
 
     Each sample is advanced from the previous one by Strang splitting:
     every step of length ≤ dt applies a half-step of Liouville
@@ -375,7 +372,7 @@ def boltzmann_samples(
     if np.any(np.diff(times, prepend=0.0) < 0.0):
         raise ValueError("collisional evolution runs forward only")
     if _collisionless(rates):
-        yield from liouville_samples(f0, hamiltonian, times, dt)
+        yield from liouville_samples(f0, potential, times, dt)
         return
     if rates.size != f0.grid.p_centers.size:
         raise ValueError("rate matrix must live on the density's momentum cells")
@@ -387,7 +384,7 @@ def boltzmann_samples(
             # ρ(t) = e^{Qᵀt}ρ acting on each x-row: F ↦ F · (e^{Qᵀ·step})ᵀ
             hop = _hop(rates, step)
             h = 0.5 * step
-            half = TransportStencil.backtrace(f0.grid, hamiltonian, h)
+            half = TransportStencil.backtrace(f0.grid, potential, h)
             for _ in range(steps):
                 values = half.move(np.maximum(half.move(values) @ hop, 0.0))
             t_prev = t
@@ -396,15 +393,15 @@ def boltzmann_samples(
 
 def evolve_boltzmann(
     f0: PhaseSpaceDensity,
-    hamiltonian: HamiltonianSpec,
+    potential: PotentialSpec,
     rates: Optional[RateMatrix],
     t: float,
     dt: float | None = None,
 ) -> PhaseSpaceDensity:
-    """Streaming plus local collisions for time t ≥ 0: the one-sample
-    case of `boltzmann_samples`, so with no rates it is
-    `evolve_liouville` over the whole interval."""
-    return next(boltzmann_samples(f0, hamiltonian, rates, (t,), dt))
+    """Streaming plus local collisions for time t ≥ 0, with m read from
+    f₀'s grid: the one-sample case of `boltzmann_samples`, so with no
+    rates it is `evolve_liouville` over the whole interval."""
+    return next(boltzmann_samples(f0, potential, rates, (t,), dt))
 
 
 def entropy(occupation) -> float:

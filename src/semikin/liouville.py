@@ -13,8 +13,11 @@ x is open unless the grid is periodic in x, where feet wrap.  It moves
 value arrays, never densities, so arrays that all move by the same
 interval (the Strang half-steps of `kinetics.boltzmann_samples`) share
 one backtrace and one stencil, and each sample generator builds, and so
-validates, its sample densities itself.  Which flow kernel runs follows
-from the potential:
+validates, its sample densities itself.  The Hamiltonian is
+p²/2m + U(x) in one unit system: every transport entry point takes the
+potential U and reads m from its density's grid, and only `flow_map`
+and `flow_jacobian`, which map points rather than grids, take m.  Which
+flow kernel runs follows from the potential:
 
   free, linear, harmonic:  the potential's closed-form `flow`, exact in
                            one call for any t (the feet of every sample
@@ -38,7 +41,6 @@ from .errors import NumericalFailure
 from .schrodinger import PotentialSpec
 
 __all__ = [
-    "HamiltonianSpec",
     "flow_map",
     "flow_jacobian",
     "TransportStencil",
@@ -55,26 +57,6 @@ _MAX_STEPS = 10**7
 _BOUNDARY_MASS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """H(x, p) = p²/2m + U(x) with an analytically differentiable U."""
-
-    mass: float
-    potential: PotentialSpec
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.mass) and self.mass > 0.0):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not getattr(self.potential, "is_smooth", False):
-            raise ValueError(
-                "classical flow needs a smooth potential; sharp-flagged forms"
-                " are not admissible"
-            )
-
-    def grad_x(self, x):
-        return self.potential.derivative(x)
-
-
 def _step_count(t: float, dt: float) -> int:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -83,40 +65,51 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, int(np.ceil(abs(t) / dt - 1e-12)))
 
 
-def _closed_form(hamiltonian: HamiltonianSpec):
-    """The potential's exact flow `flow(x, p, t, mass)`, or None."""
-    return getattr(hamiltonian.potential, "flow", None)
+def _admissible(potential: PotentialSpec, mass: float) -> None:
+    """Refuse a mass that is not positive and finite, and a potential not
+    flagged smooth: the classical flow needs U' everywhere."""
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+    if not getattr(potential, "is_smooth", False):
+        raise ValueError(
+            "classical flow needs a smooth potential; sharp-flagged forms"
+            " are not admissible"
+        )
 
 
-def flow_map(x, p, t: float, dt: float, hamiltonian: HamiltonianSpec):
-    """Hamilton flow (x, p) ↦ (X_t, P_t), elementwise over arrays.
+def flow_map(x, p, t: float, dt: float, potential: PotentialSpec, mass: float):
+    """Hamilton flow (x, p) ↦ (X_t, P_t) of H = p²/2m + U, elementwise
+    over arrays.
 
     A potential with a closed-form `flow` is mapped exactly in one call;
     any other takes ⌈|t|/dt⌉ velocity-Verlet steps that split t evenly.
     Negative `t` runs the reversed flow; `dt` is the (positive) bound on
-    the step magnitude, and it is checked on both paths.
+    the step magnitude, and it is checked on both paths.  It maps points,
+    not a grid, so it takes m itself; a non-positive or non-finite m,
+    and a potential not flagged smooth, are refused with `ValueError`.
     """
+    _admissible(potential, mass)
     if t == 0.0:
         return np.array(x, copy=True), np.array(p, copy=True)
     n = _step_count(t, dt)
     x = np.array(x, dtype=float, copy=True)
     p = np.array(p, dtype=float, copy=True)
-    exact = _closed_form(hamiltonian)
-    if exact is not None:
-        return exact(x, p, t, hamiltonian.mass)
+    if hasattr(potential, "flow"):
+        return potential.flow(x, p, t, mass)
     step = t / n
     for _ in range(n):
-        p = p - 0.5 * step * hamiltonian.grad_x(x)
-        x = x + step * p / hamiltonian.mass
-        p = p - 0.5 * step * hamiltonian.grad_x(x)
+        p = p - 0.5 * step * potential.derivative(x)
+        x = x + step * p / mass
+        p = p - 0.5 * step * potential.derivative(x)
     return x, p
 
 
 def flow_jacobian(
-    x0: float, p0: float, t: float, hamiltonian: HamiltonianSpec,
+    x0: float, p0: float, t: float, potential: PotentialSpec, mass: float,
     dt: float | None = None, eps: float | None = None,
 ) -> float:
-    """Determinant of the flow map's Jacobian by central differences.
+    """Determinant of the Jacobian of `flow_map` at one point, for mass m,
+    by central differences.
 
     Liouville's theorem makes this 1 for the exact flow; the closed forms
     and Verlet, being symplectic, reproduce that to roundoff-plus-O(ε²).
@@ -129,7 +122,7 @@ def flow_jacobian(
         eps = 1e-4 * max(abs(x0), abs(p0), 1.0)
     xs = np.array([x0 + eps, x0 - eps, x0, x0])
     ps = np.array([p0, p0, p0 + eps, p0 - eps])
-    fx, fp = flow_map(xs, ps, t, dt, hamiltonian)
+    fx, fp = flow_map(xs, ps, t, dt, potential, mass)
     dxdx = (fx[0] - fx[1]) / (2.0 * eps)
     dpdx = (fp[0] - fp[1]) / (2.0 * eps)
     dxdp = (fx[2] - fx[3]) / (2.0 * eps)
@@ -229,11 +222,12 @@ class TransportStencil:
 
     @classmethod
     def backtrace(
-        cls, grid: PhaseSpaceGrid, hamiltonian: HamiltonianSpec, t: float
+        cls, grid: PhaseSpaceGrid, potential: PotentialSpec, t: float
     ) -> TransportStencil:
         """The stencil of one `flow_map` backtrace of the node mesh over t
-        (one Verlet step where there is no closed form)."""
-        feet = flow_map(*_nodes(grid), -t, abs(t), hamiltonian)
+        (one Verlet step where there is no closed form), with m read from
+        the grid's constants."""
+        feet = flow_map(*_nodes(grid), -t, abs(t), potential, grid.constants.mass)
         return cls.at_feet(grid, feet)
 
     def move(self, values: np.ndarray) -> np.ndarray:
@@ -254,11 +248,12 @@ class TransportStencil:
 
 def liouville_samples(
     rho0: PhaseSpaceDensity,
-    hamiltonian: HamiltonianSpec,
+    potential: PotentialSpec,
     times: Sequence[float],
     dt: float | None = None,
 ) -> Iterator[PhaseSpaceDensity]:
-    """Yield ρ(tᵢ) = ρ₀(Φ₋ₜᵢ(z)) at every time of `times`, in order.
+    """Yield ρ(tᵢ) = ρ₀(Φ₋ₜᵢ(z)) at every time of `times`, in order, for
+    H = p²/2m + U with m read from ρ₀'s grid.
 
     A closed-form flow maps the feet of every sample straight from the
     node mesh in one call.  Under Verlet the backtrace feet of tᵢ are
@@ -270,17 +265,25 @@ def liouville_samples(
     one step per interval).  When each interval is a whole number of
     `dt`, the Verlet steps, and so the feet, are bit for bit those of
     one flow from t = 0; otherwise only the step split differs, within
-    the O(dt²) Verlet bound.  A sample at t = 0 is ρ₀ itself.
+    the O(dt²) Verlet bound.  A sample at t = 0 is ρ₀ itself.  A
+    potential `flow_map` refuses is refused here, at the call, before
+    any sample is asked for.
     """
+    _admissible(potential, rho0.grid.constants.mass)
+    return _samples(rho0, potential, times, dt)
+
+
+def _samples(rho0, potential, times, dt):
     g = rho0.grid
     nodes = _nodes(g)
     feet, t_prev = nodes, 0.0
-    from_nodes = _closed_form(hamiltonian) is not None
+    from_nodes = hasattr(potential, "flow")
     m0 = phase_space_mass(rho0)
     for t in times:
         if t != t_prev:
             start, delta = (nodes, t) if from_nodes else (feet, t - t_prev)
-            feet = flow_map(*start, -delta, abs(delta) if dt is None else dt, hamiltonian)
+            step = abs(delta) if dt is None else dt
+            feet = flow_map(*start, -delta, step, potential, g.constants.mass)
             t_prev = t
         if t == 0.0:
             # zero-length transport is the identity; skip the interpolation
@@ -297,11 +300,12 @@ def liouville_samples(
 
 def evolve_liouville(
     rho0: PhaseSpaceDensity,
-    hamiltonian: HamiltonianSpec,
+    potential: PotentialSpec,
     t: float,
     dt: float | None = None,
 ) -> PhaseSpaceDensity:
-    """Transport ρ₀ for time t: ρ(z, t) = ρ₀(Φ₋ₜ(z)).
+    """Transport ρ₀ for time t: ρ(z, t) = ρ₀(Φ₋ₜ(z)), with m read from
+    ρ₀'s grid.
 
     `dt` bounds the Verlet step of a backtrace with no closed form
     (default: one step); the density itself is interpolated exactly
@@ -311,5 +315,4 @@ def evolve_liouville(
     mass raises `NumericalFailure`.  This is the one-sample case of
     `liouville_samples`.
     """
-    return next(liouville_samples(rho0, hamiltonian, (t,), dt))
-
+    return next(liouville_samples(rho0, potential, (t,), dt))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import semikin
-from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants
+from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants, SpatialGrid
 
 
 def run_probe(probe):
@@ -64,6 +64,24 @@ def gaussian_blob(
     x, p = np.meshgrid(grid.x_centers, grid.p_centers, indexing="ij")
     values = np.exp(-((x - x0) ** 2 / (2 * sx**2) + (p - p0) ** 2 / (2 * sp**2)))
     return PhaseSpaceDensity(grid=grid, values=values)
+
+
+def ring_point_mass(constants: PhysicalConstants) -> PhaseSpaceDensity:
+    """Unit density in cell (4, 10) of the 16×16 grid windowed from a
+    256-point ring in the units of `constants`; cell 10 has p = π/4, so
+    over t = 16 a mass-1 point moves 0.785 windows and a mass-2 point
+    0.393."""
+    spatial = SpatialGrid(x_min=0.0, dx=1.0, n=256, constants=constants)
+    grid = PhaseSpaceGrid.from_spatial(spatial, window_cells=16, periodic_x=True)
+    values = np.zeros(grid.shape)
+    values[4, 10] = 1.0
+    return PhaseSpaceDensity(grid=grid, values=values)
+
+
+def peak(density: PhaseSpaceDensity) -> tuple[int, int]:
+    """(x cell, p cell) of the largest value."""
+    index = np.unravel_index(np.argmax(density.values), density.values.shape)
+    return tuple(int(i) for i in index)
 
 
 @dataclass(frozen=True)

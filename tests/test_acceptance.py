@@ -49,7 +49,7 @@ from semikin.kinetics import (
     incoherent_average,
     number_correlator,
 )
-from semikin.liouville import HamiltonianSpec, evolve_liouville, flow_jacobian
+from semikin.liouville import evolve_liouville, flow_jacobian
 from semikin.manybody import CarrierState, EnvelopeFunctionND, kinetic_cross_term_check
 from semikin.schrodinger import HarmonicPotential, LinearPotential
 
@@ -103,7 +103,7 @@ def test_criterion_02_uniform_force_packet_centers_ride_characteristics():
 
 
 def test_criterion_03_harmonic_recurrence_and_unit_flow_jacobian():
-    trap = HamiltonianSpec(mass=1.0, potential=HarmonicPotential(k=1.0))
+    trap = HarmonicPotential(k=1.0)
     grid = square_grid(256, 8.0, CONSTANTS)
     rho0 = gaussian_blob(grid, 1.5, 0.0, 1.0, 1.0)
     mass0 = phase_space_mass(rho0)
@@ -118,7 +118,7 @@ def test_criterion_03_harmonic_recurrence_and_unit_flow_jacobian():
     xs = rng.uniform(-3.0, 3.0, 1000)
     ps = rng.uniform(-3.0, 3.0, 1000)
     worst = max(
-        abs(flow_jacobian(float(x), float(p), 1.3, trap, dt=1.3 / 64) - 1.0)
+        abs(flow_jacobian(float(x), float(p), 1.3, trap, 1.0, dt=1.3 / 64) - 1.0)
         for x, p in zip(xs, ps)
     )
     print(f"criterion 3: worst |J-1| over 1000 points = {worst:.3e} (≤ 1e-6)")
@@ -134,7 +134,7 @@ def test_criterion_04_semi_lagrangian_matches_dense_upwind_oracle():
         periodic_x=True,
     )
     rho0 = gaussian_blob(grid, 0.0, 0.6, 2.2, 0.42)
-    ramp = HamiltonianSpec(mass=1.0, potential=LinearPotential(force=1.0))
+    ramp = LinearPotential(force=1.0)
     sl = evolve_liouville(rho0, ramp, 0.5, dt=0.5 / 64)
     fd = upwind_transport(
         rho0.values, x, p, lambda xv: np.full_like(xv, 1.0), 1.0, 0.5,
@@ -147,10 +147,10 @@ def test_criterion_04_semi_lagrangian_matches_dense_upwind_oracle():
 
 def test_criterion_05_projection_kernel_delta_sequence():
     dxw, hbar, p0 = 16.0, 1.0, 1.0
-    assert chi_kernel(p0, p0, dxw=dxw) == 1.0  # removable singularity, exact
+    assert chi_kernel(p0, p0, dxw=dxw, hbar=hbar) == 1.0  # removable singularity, exact
 
     beats = p0 + np.arange(1, 5) * 2.0 * np.pi * hbar / dxw
-    zeros = np.max(np.abs(chi_kernel(beats, p0, dxw=dxw)))
+    zeros = np.max(np.abs(chi_kernel(beats, p0, dxw=dxw, hbar=hbar)))
     print(f"criterion 5: worst |χ| at whole beats = {zeros:.3e} (≤ 1e-12)")
     assert zeros <= 1e-12
 
@@ -223,6 +223,7 @@ def test_criterion_07_master_equation_against_analytic_relaxation():
         InteractionMatrix(np.array([[0, v], [v, 0]], dtype=complex)),
         StateSpace(np.array([0.0, 0.0])),
         eta=eta,
+        hbar=1.0,
     )
     gamma = rates2.values[0, 1]
     worst2 = max(
@@ -241,7 +242,7 @@ def test_criterion_07_master_equation_against_analytic_relaxation():
     v8 = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     v8 = (v8 + v8.conj().T) / 2.0
     np.fill_diagonal(v8, 0.0)
-    rates8 = fermi_rates(InteractionMatrix(v8), StateSpace(energies), eta=0.5)
+    rates8 = fermi_rates(InteractionMatrix(v8), StateSpace(energies), eta=0.5, hbar=1.0)
     scale = float(np.max(np.abs(rates8.values)))
     rows = float(np.max(np.abs(rates8.values.sum(axis=1)))) / scale
     rho0 = rng.random(8)
@@ -262,7 +263,7 @@ def test_criterion_07_master_equation_against_analytic_relaxation():
         vk = sweep.normal(size=(k, k)) + 1j * sweep.normal(size=(k, k))
         vk = (vk + vk.conj().T) / 2.0
         np.fill_diagonal(vk, 0.0)
-        rates = fermi_rates(InteractionMatrix(vk), StateSpace(energies), eta=1.0)
+        rates = fermi_rates(InteractionMatrix(vk), StateSpace(energies), eta=1.0, hbar=1.0)
         rho = sweep.random(k)
         rho /= rho.sum()
         s_prev = entropy(rho)
@@ -386,7 +387,7 @@ def test_criterion_11_collisionless_reduction_and_collisional_entropy(
 def test_criterion_12_streaming_reversible_collisions_not():
     # streaming: forward-then-back lands within twice the one-way
     # interpolation error of the start
-    trap = HamiltonianSpec(mass=1.0, potential=HarmonicPotential(k=1.0))
+    trap = HarmonicPotential(k=1.0)
     grid = square_grid(128, 8.0, CONSTANTS)
     rho0 = gaussian_blob(grid, 1.5, 0.0, 1.0, 1.0)
     mass0 = phase_space_mass(rho0)
@@ -411,6 +412,7 @@ def test_criterion_12_streaming_reversible_collisions_not():
         InteractionMatrix(np.array([[0, v], [v, 0]], dtype=complex)),
         StateSpace(np.array([0.0, 0.0])),
         eta=eta,
+        hbar=1.0,
     )
     gamma = rates.values[0, 1]
     rho = Occupation(np.array([1.0, 0.0]))

@@ -4,10 +4,13 @@ fabricated samples and tiny trees.
 A gain holds only when the change wins at least nine pairs in ten, ties
 counting for neither side, and the medians differ in its favour by more
 than the parent's interquartile range; the runner refuses two trees
-whose benchmarks differ.
+whose benchmarks differ, and a run that stops the round is kept with
+the pairs completed before it.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,43 @@ def test_trees_with_different_benchmarks_are_refused(tmp_path, edit):
     change = _tree(tmp_path / "change", {**BENCH, **edit})
     with pytest.raises(SystemExit, match=next(iter(edit))):
         bench_pairs.check_trees(parent, change)
+
+
+#: a harness whose run at seed 2 fails one operation, as perfbench reports it
+STOPPING_RUN = """\
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+correct = seed != 2
+if not correct:
+    print("  FAILED free_packet [plain]: too few speed probe calls")
+metrics = {"cpu_s": {"value": 1.0 + seed, "unit": "s"}}
+report = {"correct": correct, "attempted": 3, "failed": int(not correct), "metrics": metrics}
+print(json.dumps(report))
+"""
+
+
+def test_a_stopped_run_keeps_its_failures_and_the_completed_pairs(tmp_path, capsys):
+    spec = {
+        "command": [sys.executable, "perfbench/run.py"],
+        "run_seconds": 1,
+        "end_to_end": [{"name": "cpu_s", "unit": "s", "better": "lower", "bound": 0.25}],
+    }
+    files = {"BENCHMARK.json": json.dumps(spec), "perfbench/run.py": STOPPING_RUN}
+    parent = _tree(tmp_path / "parent", files)
+    change = _tree(tmp_path / "change", files)
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "twin",
+            "--seed", "1", "--pairs", "3"]
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main(argv)
+    assert stopped.value.code == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    # pair 1 runs the parent first, and its seed 2 stops the round
+    assert "the parent run of pair 1 (seed 2) stopped" in "\n".join(lines)
+    assert "  FAILED free_packet [plain]: too few speed probe calls" in lines
+    last = json.loads(lines[-1])
+    assert last["pairs_completed"] == 1 and last["seeds"] == [1]
+    assert last["runs"] == {"parent": [{"cpu_s": 2.0}], "change": [{"cpu_s": 2.0}]}
+    aborted = last["aborted"]
+    assert (aborted["side"], aborted["pair"], aborted["seed"]) == ("parent", 1, 2)
+    assert aborted["failed_lines"] == ["FAILED free_packet [plain]: too few speed probe calls"]
+    assert aborted["report"]["correct"] is False and aborted["exit_code"] == 0

@@ -233,6 +233,21 @@ class TestRunCorrespondence:
         assert np.max(report.l1) < 0.05, f"crossing L1 {report.l1}"
         assert np.allclose(report.mass_envelope, 1.0 / 16.0, atol=1e-12)
 
+    def test_a_sharp_potential_is_refused_before_any_quantum_work(self, monkeypatch):
+        # barrier_split's first sample is t = 900: a refusal on the first
+        # classical sample would come after the quantum run up to it
+        calls = []
+        evolve = correspondence.evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(correspondence, "evolve", counted)
+        with pytest.raises(ValueError, match="smooth"):
+            run_correspondence(load_scenario(SCENARIO_DIR / "barrier_split.ini"))
+        assert calls == []
+
 
 class TestOneBuilderPerRunObject:
     def test_the_prelude_builds_psi0_once_and_the_grids_are_kept(self, monkeypatch):
@@ -251,7 +266,7 @@ class TestOneBuilderPerRunObject:
         assert len(calls) == len(scenario.packets)
         assert scenario.phase_grid() is scenario.phase_grid()
         grid = scenario.phase_grid()
-        stencil = liouville.TransportStencil.backtrace(grid, scenario.hamiltonian(), 1.0)
+        stencil = liouville.TransportStencil.backtrace(grid, scenario.potential, 1.0)
         with pytest.raises(ValueError, match="stencil's grid"):
             stencil.move(np.ones((3, 4)))
 
@@ -420,20 +435,18 @@ class TestIncrementalSamples:
         *_, f0 = prepare(scenario)
         report = kinetic_scenario(scenario)
         for t, f in zip(report.times, report.densities):
-            direct = evolve_boltzmann(
-                f0, scenario.hamiltonian(), scenario.rates, t, dt=scenario.dt
-            )
+            direct = evolve_boltzmann(f0, scenario.potential, scenario.rates, t, dt=scenario.dt)
             assert f.time == direct.time
             assert np.array_equal(f.values, direct.values)
 
     def test_verlet_work_grows_with_the_last_sample_time(self, monkeypatch):
         # count the Verlet steps taken: each makes two U' calls, its half kicks
         kicks = {"feet": 0, "center": 0}
-        grad_x = liouville.HamiltonianSpec.grad_x
+        derivative = FreePotential.derivative
 
         def counted(self, x):
             kicks["feet" if np.ndim(x) == 2 else "center"] += 1
-            return grad_x(self, x)
+            return derivative(self, x)
 
         def verlet_steps(potential):
             kicks.update(feet=0, center=0)
@@ -444,7 +457,7 @@ class TestIncrementalSamples:
             )
             return kicks["feet"] // 2, kicks["center"] // 2
 
-        monkeypatch.setattr(liouville.HamiltonianSpec, "grad_x", counted)
+        monkeypatch.setattr(FreePotential, "derivative", counted)
         # the closed form takes none; Verlet takes ⌈16/0.1⌉ steps per
         # stream, not ⌈4/0.1⌉ + ⌈8/0.1⌉ + ⌈16/0.1⌉ = 280
         assert verlet_steps(FreePotential()) == (0, 0)

@@ -128,32 +128,32 @@ class TestTranslationCovariance:
 
 class TestChiKernel:
     def test_unit_at_its_own_carrier(self):
-        assert chi_kernel(1.0, 1.0, dxw=16.0) == 1.0
+        assert chi_kernel(1.0, 1.0, dxw=16.0, hbar=1.0) == 1.0
 
     def test_zeros_at_whole_beats(self):
         # χ vanishes whenever the offset puts a whole number of beat
         # wavelengths in the window: (p-p₀)Δx/ħ = 2πk
         dxw = 16.0
         offsets = 2 * np.pi * np.arange(1, 9) / dxw
-        vals = chi_kernel(1.0 + offsets, 1.0, dxw=dxw)
+        vals = chi_kernel(1.0 + offsets, 1.0, dxw=dxw, hbar=1.0)
         assert np.max(np.abs(vals)) < 1e-15
 
     def test_half_beat_magnitude(self):
         # at half a beat the periodic sinc reads sin(π/2)/(π/2) = 2/π
-        val = chi_kernel(1.0 + np.pi / 16.0, 1.0, dxw=16.0)
+        val = chi_kernel(1.0 + np.pi / 16.0, 1.0, dxw=16.0, hbar=1.0)
         assert abs(val) == pytest.approx(2.0 / np.pi, rel=1e-14)
 
     def test_modulus_is_periodic_sinc(self):
         dxw, p0 = 16.0, 0.3
         delta = np.linspace(-4.0, 4.0, 401)
-        vals = np.abs(chi_kernel(p0 + delta, p0, dxw=dxw))
+        vals = np.abs(chi_kernel(p0 + delta, p0, dxw=dxw, hbar=1.0))
         u = delta * dxw / 2.0
         expected = np.abs(np.sinc(u / np.pi))  # numpy sinc is sin(πx)/(πx)
         assert np.max(np.abs(vals - expected)) < 1e-13
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
-            chi_kernel(1.0, 1.0, dxw=0.0)
+            chi_kernel(1.0, 1.0, dxw=0.0, hbar=1.0)
 
 
 class TestScaleGates:

@@ -16,7 +16,7 @@ import pytest
 
 import semikin
 from semikin import io as artifacts
-from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, SpatialGrid
+from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants, SpatialGrid
 from semikin.correspondence import (
     BarrierSummary,
     CorrespondenceReport,
@@ -184,14 +184,15 @@ class TestRateMatrixRoundTrip:
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
         rates = RateMatrix(values=q, eta=0.37)
-        energies = rng.random(5)
-        artifacts.save_rate_matrix(rates, energies, 1.0, tmp_path / "rates")
+        # the sidecar's energies and ħ are those of the grid the rates live on
+        grid = square_grid(5, 2.3, PhysicalConstants(hbar=0.7, mass=1.3))
+        artifacts.save_rate_matrix(rates, grid, tmp_path / "rates")
         loaded = np.loadtxt(tmp_path / "rates.csv", delimiter=",", ndmin=2)
         sidecar = json.loads((tmp_path / "rates.json").read_text())
         # repr() emits shortest round-tripping decimals, so nothing is lost
         assert np.array_equal(loaded, q)
-        assert np.array_equal(sidecar["energies"], energies)
-        assert sidecar["eta"] == 0.37 and sidecar["hbar"] == 1.0
+        assert np.array_equal(sidecar["energies"], grid.cell_energies)
+        assert sidecar["eta"] == 0.37 and sidecar["hbar"] == 0.7
 
 
 @pytest.fixture(scope="module")

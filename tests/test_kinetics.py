@@ -36,34 +36,34 @@ from semikin.kinetics import (
     incoherent_average,
     number_correlator,
 )
-from semikin.liouville import HamiltonianSpec, evolve_liouville, liouville_samples
+from semikin.liouville import evolve_liouville, liouville_samples
 from semikin.schrodinger import FreePotential, HarmonicPotential, LinearPotential
 
-from conftest import VerletOnly, gaussian_blob, run_probe, square_grid
+from conftest import VerletOnly, gaussian_blob, peak, ring_point_mass, run_probe, square_grid
 from oracles import dense_master
 
-FREE = HamiltonianSpec(mass=1.0, potential=FreePotential())
-VERLET_TRAP = HamiltonianSpec(mass=1.0, potential=VerletOnly(HarmonicPotential(k=1.0)))
-RAMP = HamiltonianSpec(mass=1.0, potential=LinearPotential(force=0.2))
+FREE = FreePotential()
+VERLET_TRAP = VerletOnly(HarmonicPotential(k=1.0))
+RAMP = LinearPotential(force=0.2)
 
 
 def shell_rates(p_centers):
     """Uniform coupling between momentum cells of nearby energy p²/2."""
     v = np.full((p_centers.size,) * 2, 0.05, dtype=complex)
     np.fill_diagonal(v, 0.0)
-    return fermi_rates(InteractionMatrix(v), StateSpace(p_centers**2 / 2.0), eta=0.2)
+    return fermi_rates(InteractionMatrix(v), StateSpace(p_centers**2 / 2.0), eta=0.2, hbar=1.0)
 
 
-def strang_reference(f0, hamiltonian, rates, t, steps):
+def strang_reference(f0, potential, rates, t, steps):
     """The Strang loop with a fresh `evolve_liouville` at every half-step."""
     step = t / steps
     hop = _hop(rates, step)
     f = f0
     for _ in range(steps):
-        f = evolve_liouville(f, hamiltonian, 0.5 * step)
+        f = evolve_liouville(f, potential, 0.5 * step)
         mixed = np.maximum(f.values @ hop, 0.0)
         f = PhaseSpaceDensity(grid=f.grid, values=mixed, time=f.time)
-        f = evolve_liouville(f, hamiltonian, 0.5 * step)
+        f = evolve_liouville(f, potential, 0.5 * step)
     return f
 
 
@@ -73,7 +73,7 @@ def random_rates(rng, size, eta=1.0, energies=None):
     np.fill_diagonal(v, 0.0)
     if energies is None:
         energies = rng.uniform(0.0, 1.0, size)
-    return fermi_rates(InteractionMatrix(v), StateSpace(energies), eta=eta)
+    return fermi_rates(InteractionMatrix(v), StateSpace(energies), eta=eta, hbar=1.0)
 
 
 class TestContainers:
@@ -106,6 +106,7 @@ class TestFermiRates:
             InteractionMatrix(np.array([[0, v], [v, 0]], dtype=complex)),
             StateSpace(np.array([0.0, 0.0])),
             eta=eta,
+            hbar=1.0,
         )
         gamma = 2 * np.pi * v**2 / (eta * math.sqrt(2 * math.pi))
         assert rates.values[0, 1] == pytest.approx(gamma, rel=1e-13)
@@ -136,6 +137,7 @@ class TestEvolveMaster:
             InteractionMatrix(np.array([[0, v], [v, 0]], dtype=complex)),
             StateSpace(np.array([0.0, 0.0])),
             eta=eta,
+            hbar=1.0,
         )
         gamma = rates.values[0, 1]
         worst = 0.0
@@ -388,23 +390,33 @@ class TestEvolveBoltzmann:
         assert np.array_equal(zero.values, direct.values)
 
     @pytest.mark.parametrize(
-        "hamiltonian, periodic_x",
+        "potential, periodic_x",
         [(FREE, True), (VERLET_TRAP, False)],
         ids=["free-periodic", "verlet-trap-open"],
     )
     def test_zero_rates_give_the_liouville_samples_bitwise(
-        self, hamiltonian, periodic_x, constants
+        self, potential, periodic_x, constants
     ):
         g = square_grid(32, 8.0, constants, periodic_x)
         rho = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
         zero = RateMatrix(values=np.zeros((32, 32)), eta=0.1)
         times = (0.0, 0.5, 1.25)
-        ours = list(boltzmann_samples(rho, hamiltonian, zero, times, 0.125))
-        theirs = list(liouville_samples(rho, hamiltonian, times, 0.125))
+        ours = list(boltzmann_samples(rho, potential, zero, times, 0.125))
+        theirs = list(liouville_samples(rho, potential, times, 0.125))
         assert len(ours) == len(theirs) == 3
         for a, b in zip(ours, theirs):
             assert a.time == b.time
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "units, expected",
+        [(PhysicalConstants(mass=2.0), (4, 10)), (PhysicalConstants(), (5, 10))],
+        ids=["mass-2", "natural"],
+    )
+    def test_streaming_reads_the_mass_of_its_grid(self, units, expected):
+        zero = RateMatrix(values=np.zeros((16, 16)), eta=0.1)
+        (out,) = boltzmann_samples(ring_point_mass(units), FREE, zero, (16.0,))
+        assert peak(out) == expected
 
     @pytest.mark.parametrize("collisional", [False, True], ids=["no-rates", "rates"])
     def test_a_decreasing_sample_time_raises(self, collisional, constants):
@@ -432,7 +444,7 @@ class TestEvolveBoltzmann:
         f0 = np.tile(np.exp(-((pc - 0.6) ** 2) / 0.5), (32, 1))
         v = np.full((15, 15), 0.05, dtype=complex)
         np.fill_diagonal(v, 0.0)
-        rates = fermi_rates(InteractionMatrix(v), StateSpace(pc**2 / 2.0), eta=0.2)
+        rates = fermi_rates(InteractionMatrix(v), StateSpace(pc**2 / 2.0), eta=0.2, hbar=1.0)
         out = evolve_boltzmann(PhaseSpaceDensity(grid=g, values=f0), FREE, rates, 4.0, dt=0.5)
         reference = evolve_master(Occupation(f0[0]), rates, 4.0)
         assert np.max(np.abs(out.values - reference.values[None, :])) < 1e-12
@@ -452,25 +464,25 @@ class TestEvolveBoltzmann:
         )
         v = np.full((15, 15), 0.05, dtype=complex)
         np.fill_diagonal(v, 0.0)
-        rates = fermi_rates(InteractionMatrix(v), StateSpace(pc**2 / 2.0), eta=0.2)
+        rates = fermi_rates(InteractionMatrix(v), StateSpace(pc**2 / 2.0), eta=0.2, hbar=1.0)
         rho0 = PhaseSpaceDensity(grid=g, values=f0)
         out = evolve_boltzmann(rho0, FREE, rates, 4.0, dt=0.5)
         m0, m1 = phase_space_mass(rho0), phase_space_mass(out)
         assert abs(m1 - m0) / m0 < 1e-12
 
     @pytest.mark.parametrize(
-        "hamiltonian, periodic_x",
+        "potential, periodic_x",
         [(FREE, True), (VERLET_TRAP, False), (RAMP, False)],
         ids=["free-periodic", "verlet-trap-open", "ramp-open"],
     )
     def test_one_stencil_matches_a_fresh_transport_per_half_step(
-        self, hamiltonian, periodic_x, constants
+        self, potential, periodic_x, constants
     ):
         g = square_grid(32, 8.0, constants, periodic_x)
         rho0 = gaussian_blob(g, 0.5, 0.3, 1.0, 0.8)
         rates = shell_rates(g.p_centers)
-        out = evolve_boltzmann(rho0, hamiltonian, rates, 1.0, dt=0.125)
-        reference = strang_reference(rho0, hamiltonian, rates, 1.0, 8)
+        out = evolve_boltzmann(rho0, potential, rates, 1.0, dt=0.125)
+        reference = strang_reference(rho0, potential, rates, 1.0, 8)
         assert out.time == reference.time
         assert np.array_equal(out.values, reference.values)
 

@@ -13,10 +13,9 @@ properties stay checked.
 import numpy as np
 import pytest
 
-from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, phase_space_mass
+from semikin.core import PhaseSpaceDensity, PhaseSpaceGrid, PhysicalConstants, phase_space_mass
 from semikin.errors import NumericalFailure
 from semikin.liouville import (
-    HamiltonianSpec,
     TransportStencil,
     evolve_liouville,
     flow_jacobian,
@@ -30,50 +29,42 @@ from semikin.schrodinger import (
     LinearPotential,
 )
 
-from conftest import VerletOnly, gaussian_blob, square_grid
+from conftest import VerletOnly, gaussian_blob, peak, ring_point_mass, square_grid
 
 
-FREE = HamiltonianSpec(mass=1.0, potential=FreePotential())
-TRAP = HamiltonianSpec(mass=1.0, potential=HarmonicPotential(k=1.0))
-VERLET_TRAP = HamiltonianSpec(mass=1.0, potential=VerletOnly(HarmonicPotential(k=1.0)))
+FREE = FreePotential()
+TRAP = HarmonicPotential(k=1.0)
+VERLET_TRAP = VerletOnly(HarmonicPotential(k=1.0))
 
 
-class TestHamiltonianSpec:
+class TestHamiltonFlow:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError, match="mass"):
-            HamiltonianSpec(mass=0.0, potential=FreePotential())
+            flow_map(0.0, 1.0, 1.0, 1.0, FREE, 0.0)
 
     def test_rejects_sharp_potentials(self):
         # the classical flow needs U' everywhere; barrier potentials are
         # only admitted when explicitly flagged smooth
         with pytest.raises(ValueError, match="smooth"):
-            HamiltonianSpec(mass=1.0, potential=GaussianBarrier(v0=1.0, x_b=0.0, width=4.0))
-        HamiltonianSpec(
-            mass=1.0,
-            potential=GaussianBarrier(v0=1.0, x_b=0.0, width=4.0, is_smooth=True),
-        )
+            flow_map(0.0, 1.0, 1.0, 0.1, GaussianBarrier(v0=1.0, x_b=0.0, width=4.0), 1.0)
+        smooth = GaussianBarrier(v0=1.0, x_b=0.0, width=4.0, is_smooth=True)
+        flow_map(0.0, 1.0, 1.0, 0.1, smooth, 1.0)
 
-    def test_gradients(self):
-        h = HamiltonianSpec(mass=2.0, potential=LinearPotential(force=3.0))
-        assert h.grad_x(5.0) == 3.0
-
-
-class TestHamiltonFlow:
     def test_free_motion_is_exact(self):
         for t in np.linspace(0.5, 8.0, 16):
-            x, p = flow_map(1.0, 0.5, t, 0.5, FREE)
+            x, p = flow_map(1.0, 0.5, t, 0.5, FREE, 1.0)
             assert x == pytest.approx(1.0 + 0.5 * t, abs=1e-13)
             assert p == 0.5
 
     def test_negative_time_reverses(self):
-        x, p = flow_map(0.0, 1.0, 2.0, 0.1, VERLET_TRAP)
-        x0, p0 = flow_map(x, p, -2.0, 0.1, VERLET_TRAP)
+        x, p = flow_map(0.0, 1.0, 2.0, 0.1, VERLET_TRAP, 1.0)
+        x0, p0 = flow_map(x, p, -2.0, 0.1, VERLET_TRAP, 1.0)
         assert x0 == pytest.approx(0.0, abs=1e-12)
         assert p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_harmonic_rotation_second_order(self):
         t = 1.3
-        x, p = flow_map(0.7, -0.2, t, t / 2048, VERLET_TRAP)
+        x, p = flow_map(0.7, -0.2, t, t / 2048, VERLET_TRAP, 1.0)
         x_exact = 0.7 * np.cos(t) - 0.2 * np.sin(t)
         p_exact = -0.2 * np.cos(t) - 0.7 * np.sin(t)
         assert x == pytest.approx(x_exact, abs=1e-7)
@@ -82,19 +73,19 @@ class TestHamiltonFlow:
     def test_rejects_bad_steps(self):
         # FREE takes the closed form, which checks the step bound too
         with pytest.raises(ValueError):
-            flow_map(0.0, 0.0, 1.0, -0.1, FREE)
+            flow_map(0.0, 0.0, 1.0, -0.1, FREE, 1.0)
         with pytest.raises(ValueError, match="exceeds"):
-            flow_map(1.0, 0.0, 1e5, 1e-4, FREE)
+            flow_map(1.0, 0.0, 1e5, 1e-4, FREE, 1.0)
 
     def test_matches_stepwise_trajectory(self):
         # n Verlet steps over t are n single steps of t/n, bit for bit
         x, p = 1.1, 0.4
         for _ in range(90):
-            x, p = flow_map(x, p, 0.9 / 90, 0.9 / 90, VERLET_TRAP)
-        assert flow_map(1.1, 0.4, 0.9, 0.01, VERLET_TRAP) == (x, p)
+            x, p = flow_map(x, p, 0.9 / 90, 0.9 / 90, VERLET_TRAP, 1.0)
+        assert flow_map(1.1, 0.4, 0.9, 0.01, VERLET_TRAP, 1.0) == (x, p)
 
     def test_broadcasts_over_arrays(self):
-        x, p = flow_map(np.zeros(5), np.arange(5.0), 2.0, 2.0, FREE)
+        x, p = flow_map(np.zeros(5), np.arange(5.0), 2.0, 2.0, FREE, 1.0)
         assert np.array_equal(x, 2.0 * np.arange(5.0))
         assert np.array_equal(p, np.arange(5.0))
 
@@ -113,22 +104,20 @@ class TestClosedFormFlows:
     def test_force_free_and_uniform_force_match_verlet_to_rounding(self, potential):
         # Verlet is exact for a constant force, so only rounding separates them
         for t in (1.3, -0.7):
-            xe, pe = flow_map(self.X0, self.P0, t, 0.01, HamiltonianSpec(1.5, potential))
-            xv, pv = flow_map(
-                self.X0, self.P0, t, 0.01, HamiltonianSpec(1.5, VerletOnly(potential))
-            )
+            xe, pe = flow_map(self.X0, self.P0, t, 0.01, potential, 1.5)
+            xv, pv = flow_map(self.X0, self.P0, t, 0.01, VerletOnly(potential), 1.5)
             assert np.max(np.abs(xe - xv)) <= 1e-12
             assert np.max(np.abs(pe - pv)) <= 1e-12
 
     @pytest.mark.parametrize("k", [1.0, -0.5], ids=["trap", "inverted"])
     def test_harmonic_matches_verlet_to_second_order(self, k):
-        exact = HamiltonianSpec(1.5, HarmonicPotential(k=k))
-        stepped = HamiltonianSpec(1.5, VerletOnly(HarmonicPotential(k=k)))
+        exact = HarmonicPotential(k=k)
+        stepped = VerletOnly(HarmonicPotential(k=k))
         for t in (1.3, -0.7):
-            xe, pe = flow_map(self.X0, self.P0, t, abs(t), exact)
+            xe, pe = flow_map(self.X0, self.P0, t, abs(t), exact, 1.5)
             errors = []
             for dt in (abs(t) / 64, abs(t) / 128):
-                xv, pv = flow_map(self.X0, self.P0, t, dt, stepped)
+                xv, pv = flow_map(self.X0, self.P0, t, dt, stepped, 1.5)
                 errors.append(max(np.max(np.abs(xv - xe)), np.max(np.abs(pv - pe))))
             assert errors[0] <= (t / 64) ** 2
             assert 3.8 < errors[0] / errors[1] < 4.2, f"Verlet errors {errors} not O(dt²)"
@@ -136,7 +125,7 @@ class TestClosedFormFlows:
 
 class TestFlowJacobian:
     def test_identity_at_zero_time(self):
-        assert flow_jacobian(0.3, -0.8, 0.0, TRAP) == 1.0
+        assert flow_jacobian(0.3, -0.8, 0.0, TRAP, 1.0) == 1.0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_measure_preserved(self, seed):
@@ -145,7 +134,7 @@ class TestFlowJacobian:
         t = 1.3
         for _ in range(10):
             x0, p0 = rng.uniform(-3.0, 3.0, size=2)
-            j = flow_jacobian(x0, p0, t, VERLET_TRAP, dt=t / 64)
+            j = flow_jacobian(x0, p0, t, VERLET_TRAP, 1.0, dt=t / 64)
             assert abs(j - 1.0) < 1e-8, f"det J = {j} at ({x0:.3f}, {p0:.3f})"
 
 
@@ -241,7 +230,7 @@ class TestEvolveLiouville:
         rho = PhaseSpaceDensity(grid=g, values=values)
         out = evolve_liouville(rho, TRAP, 0.9, dt=0.01)
         i, j = np.unravel_index(np.argmax(out.values), out.values.shape)
-        x1, p1 = flow_map(g.x_centers[40], g.p_centers[36], 0.9, 0.01, TRAP)
+        x1, p1 = flow_map(g.x_centers[40], g.p_centers[36], 0.9, 0.01, TRAP, 1.0)
         assert abs(g.x_centers[i] - x1) <= g.window_width
         assert abs(g.p_centers[j] - p1) <= 2 * g.p_halfwidth
 
@@ -291,17 +280,17 @@ def bilinear(values, fx, fp, periodic_x):
 
 class TestTransportStencil:
     @pytest.mark.parametrize(
-        "hamiltonian, periodic_x", [(TRAP, False), (FREE, True)], ids=["trap-open", "free-periodic"]
+        "potential, periodic_x", [(TRAP, False), (FREE, True)], ids=["trap-open", "free-periodic"]
     )
-    def test_read_is_the_bilinear_formula_bitwise(self, hamiltonian, periodic_x, constants):
+    def test_read_is_the_bilinear_formula_bitwise(self, potential, periodic_x, constants):
         # corner feet of the rotated open grid leave it; the free feet
         # wrap in x and graze the open p edges by rounding
         g = square_grid(48, 8.0, constants, periodic_x)
         rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
-        stencil = TransportStencil.backtrace(g, hamiltonian, 0.7)
+        stencil = TransportStencil.backtrace(g, potential, 0.7)
         assert stencil.leak is not None
         nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
-        feet_x, feet_p = flow_map(*nodes, -0.7, 0.7, hamiltonian)
+        feet_x, feet_p = flow_map(*nodes, -0.7, 0.7, potential, 1.0)
         fx = (feet_x - g.x_centers[0]) / g.window_width
         fp = (feet_p - g.p_centers[0]) / g.p_spacing
         out = stencil.move(rho0.values)
@@ -315,7 +304,7 @@ class TestTransportStencil:
         stencil = TransportStencil.backtrace(g, TRAP, 0.9)
         nx, np_ = g.shape
         nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
-        feet_x, feet_p = flow_map(*nodes, -0.9, 0.9, TRAP)
+        feet_x, feet_p = flow_map(*nodes, -0.9, 0.9, TRAP, 1.0)
         fx = (feet_x - g.x_centers[0]) / g.window_width
         fp = (feet_p - g.p_centers[0]) / g.p_spacing
         outside = np.maximum(np.maximum(-fx, fx - (nx - 1)), 0.0)
@@ -347,9 +336,9 @@ class TestLiouvilleSamples:
     """Backtrace feet composed across samples: Φ₋ₜᵢ = Φ₋₍ₜᵢ₋ₜᵢ₋₁₎ ∘ Φ₋ₜᵢ₋₁."""
 
     @pytest.mark.parametrize(
-        "hamiltonian", [TRAP, FREE, VERLET_TRAP], ids=["trap", "free", "verlet-trap"]
+        "potential", [TRAP, FREE, VERLET_TRAP], ids=["trap", "free", "verlet-trap"]
     )
-    def test_lattice_times_match_flows_from_zero_bitwise(self, hamiltonian, constants):
+    def test_lattice_times_match_flows_from_zero_bitwise(self, potential, constants):
         # a closed form maps every sample from the nodes; under Verlet
         # every interval is a whole number of dt, so each interval's
         # Verlet step is the one-flow step and the composed feet are the
@@ -357,10 +346,10 @@ class TestLiouvilleSamples:
         g = square_grid(64, 8.0, constants)
         rho0 = gaussian_blob(g, 1.0, -0.5, 1.0, 0.8)
         times = (0.0, 0.25, 0.5, 1.25)
-        samples = list(liouville_samples(rho0, hamiltonian, times, dt=0.05))
+        samples = list(liouville_samples(rho0, potential, times, dt=0.05))
         assert len(samples) == len(times)
         for t, rho in zip(times, samples):
-            direct = evolve_liouville(rho0, hamiltonian, t, dt=0.05)
+            direct = evolve_liouville(rho0, potential, t, dt=0.05)
             assert rho.time == direct.time == t
             assert np.array_equal(rho.values, direct.values)
 
@@ -382,3 +371,33 @@ class TestLiouvilleSamples:
         back, home = liouville_samples(rho0, TRAP, (-0.5, 0.0), dt=0.05)
         assert np.array_equal(back.values, evolve_liouville(rho0, TRAP, -0.5, dt=0.05).values)
         assert np.array_equal(home.values, rho0.values)
+
+    def test_a_sharp_potential_is_refused_at_the_call(self, constants):
+        # before any sample is asked for, so a caller does no other work first
+        rho0 = gaussian_blob(square_grid(32, 4.0, constants), 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="smooth"):
+            liouville_samples(rho0, GaussianBarrier(v0=1.0, x_b=0.0, width=4.0), (1.0,))
+
+
+class TestMassFromTheGrid:
+    """m of p²/2m is the density grid's `constants.mass`; no transport
+    entry point takes a mass of its own."""
+
+    @pytest.mark.parametrize(
+        "units, expected",
+        [(PhysicalConstants(mass=2.0), (4, 10)), (PhysicalConstants(), (5, 10))],
+        ids=["mass-2", "natural"],
+    )
+    def test_a_point_mass_moves_at_the_speed_of_its_grid(self, units, expected):
+        out = evolve_liouville(ring_point_mass(units), FREE, 16.0)
+        assert peak(out) == expected
+
+    def test_the_stencil_reads_at_the_feet_of_the_grid_mass_bitwise(self):
+        g = ring_point_mass(PhysicalConstants(mass=2.0)).grid
+        values = np.random.default_rng(0).random(g.shape)
+        nodes = np.meshgrid(g.x_centers, g.p_centers, indexing="ij")
+        feet_x, feet_p = flow_map(*nodes, -16.0, 16.0, FREE, 2.0)
+        fx = (feet_x - g.x_centers[0]) / g.window_width
+        fp = (feet_p - g.p_centers[0]) / g.p_spacing
+        out = TransportStencil.backtrace(g, FREE, 16.0).move(values)
+        assert np.array_equal(out, bilinear(values, fx, fp, periodic_x=True))

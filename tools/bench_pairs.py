@@ -8,7 +8,10 @@ of that tree, with ``--workload NAME --seed S+k --seconds <run_seconds>
 change.  It refuses to start unless both trees hold byte-identical
 ``BENCHMARK.json`` and ``perfbench/`` (``__pycache__`` and hidden
 directories aside), and it stops at the first run that exits non-zero or
-reports ``"correct": false``.
+reports ``"correct": false``.  A stopped run is kept: the script prints
+its side, pair and seed and the ``FAILED`` lines of its output, then a
+last-line JSON object with the pairs completed before it and an
+``aborted`` record of it, and exits 1.
 
 For each end-to-end metric it prints each side's median and quartiles,
 the change's wins (ties count for neither side), its median change
@@ -26,6 +29,7 @@ import argparse
 import json
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 
 
@@ -71,18 +75,56 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+class Aborted(Exception):
+    """A run that exited non-zero or did not report ``"correct": true``;
+    its one argument is the record of the run."""
+
+
 def _run(tree: Path, command: list[str]) -> dict:
+    """The last-line report of one run, or `Aborted` with what it printed."""
     result = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = result.stdout.strip().splitlines()
-    if result.returncode != 0 or not lines:
-        raise SystemExit(
-            f"bench_pairs: {' '.join(command)} in {tree} exited {result.returncode}\n"
-            f"{result.stderr[-2000:]}"
-        )
-    report = json.loads(lines[-1])
-    if not report.get("correct"):
-        raise SystemExit(f"bench_pairs: {' '.join(command)} in {tree} reported {lines[-1]}")
-    return report
+    try:
+        report = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        report = None
+    report = report if isinstance(report, dict) else None
+    if result.returncode == 0 and report and report.get("correct"):
+        return report
+    raise Aborted({
+        "exit_code": result.returncode,
+        "failed_lines": [line.strip() for line in lines if line.strip().startswith("FAILED ")],
+        "report": report,
+        "stderr_tail": result.stderr[-2000:],
+    })
+
+
+def _values(report: dict) -> dict:
+    return {m: v["value"] for m, v in report["metrics"].items()}
+
+
+def _abort(args, spec: dict, reports: dict, side: str, pair: int, record: dict) -> None:
+    """Print the stopped run and the pairs completed before it; exit 1."""
+    seed = args.seed + pair
+    print(f"bench_pairs: the {side} run of pair {pair} (seed {seed}) stopped:"
+          f" exit code {record['exit_code']}, report {json.dumps(record['report'])}")
+    for line in record["failed_lines"]:
+        print(f"  {line}")
+    if record["stderr_tail"]:
+        print(record["stderr_tail"], file=sys.stderr)
+    done = {s: runs[:pair] for s, runs in reports.items()}
+    print(json.dumps({
+        "workload": args.workload,
+        "seeds": [args.seed + k for k in range(pair)],
+        "command": spec["command"],
+        "run_seconds": spec["run_seconds"],
+        "pairs_completed": pair,
+        "runs": {s: [_values(r) for r in runs] for s, runs in done.items()},
+        "attempted": {s: [r["attempted"] for r in runs] for s, runs in done.items()},
+        "failed": {s: [r["failed"] for r in runs] for s, runs in done.items()},
+        "aborted": {"side": side, "pair": pair, "seed": seed, **record},
+    }))
+    raise SystemExit(1)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -106,9 +148,12 @@ def main(argv: list[str] | None = None) -> None:
             "--seconds", str(spec["run_seconds"]), "--trace", "0",
         ]
         for side in ("parent", "change") if k % 2 else ("change", "parent"):
-            reports[side].append(_run(trees[side], command))
-            value = {m: v["value"] for m, v in reports[side][-1]["metrics"].items()}
-            print(f"pair {k} seed {seed} {side}: {json.dumps(value)}", flush=True)
+            try:
+                reports[side].append(_run(trees[side], command))
+            except Aborted as exc:
+                _abort(args, spec, reports, side, k, exc.args[0])
+            print(f"pair {k} seed {seed} {side}: {json.dumps(_values(reports[side][-1]))}",
+                  flush=True)
     metrics = {}
     for metric in spec["end_to_end"]:
         name = metric["name"]
